@@ -394,25 +394,8 @@ def cmd_classical(args) -> int:
 
 def cmd_verify(args) -> int:
     groups = [g for g in verification.ALL_CHECKS if getattr(args, g, False)]
-    lam_override = (
-        [float(parse_deformation(s)) for s in args.lam] if args.lam else None
-    )
-    results = []
-    for name in groups or verification.ALL_CHECKS:
-        if name == "sl" and lam_override:
-            results.extend(
-                verification.check_sl_crossval(
-                    tol=args.tol or 1e-6, lams=lam_override
-                )
-            )
-        elif name == "gram" and lam_override:
-            results.extend(
-                verification.check_gram(
-                    tol=args.tol or 1e-8, lams=lam_override
-                )
-            )
-        else:
-            results.extend(verification.run_checks([name]))
+    lams = [float(lam) for lam in _lambdas(args, [])] or None
+    results = verification.run_checks(groups, lams=lams, tol=args.tol)
     records = [r.to_dict() for r in results]
     ok = all(r.passed for r in results)
     text = dumps_json(records, indent=2)

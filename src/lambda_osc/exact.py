@@ -2,23 +2,17 @@
 
 Polynomial coefficients come in two flavours: plain rationals (a fixed
 rational deformation value) and exact univariate polynomials in the
-deformation parameter itself (the generic route).  ``LamPoly`` is the
-second flavour; it is deliberately tiny -- dense coefficients over
-``fractions.Fraction``, with just the ring operations the polynomial
-constructions need.  ``LamRatio`` holds a reduced ratio of two such
-polynomials, which is what a proportionality constant between two
-polynomial families can turn into in generic mode.
+deformation parameter itself (the generic route).  ``DensePoly`` is the
+shared dense polynomial core: the ring operations and long division,
+written once over whatever exact coefficient ring a subclass supplies.
+``LamPoly`` is the polynomial in the deformation parameter, over
+``fractions.Fraction``; ``polynomials.LambdaPoly`` is the polynomial in
+the oscillator coordinate over either ring.  ``LamRatio`` holds a
+reduced ratio of two ``LamPoly``s, which is what a proportionality
+constant between two polynomial families can turn into in generic mode.
 """
 
 from fractions import Fraction
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def exact_rational(x) -> Fraction:
@@ -32,37 +26,35 @@ def exact_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(
-        "exact arithmetic needs an exact rational deformation value; "
+        f"exact arithmetic needs an exact rational, got {type(x).__name__}; "
         "convert floats explicitly, e.g. Fraction(3, 10)"
     )
 
 
-class LamPoly:
-    """Exact polynomial in the dimensionless deformation parameter.
+class DensePoly:
+    """Immutable dense univariate polynomial over an exact coefficient ring.
 
-    Coefficients are ``Fraction``s, stored densely; ``coeffs[k]``
-    multiplies the k-th power.  Instances are immutable.
+    ``coeffs[k]`` multiplies the k-th power; trailing zeros are stripped,
+    so ``degree`` is exact.  Subclasses supply the ring through three
+    hooks: ``_coerce`` (the other operand as the same type, or None),
+    ``_like`` (a coefficient list wrapped in the subclass) and ``_zero``
+    (the zero of the coefficient ring).
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def _set_coeffs(self, cs):
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
-        raise AttributeError("LamPoly is immutable")
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- queries ------------------------------------------------------
     @property
     def degree(self):
+        """True degree: index of the last exactly-nonzero coefficient."""
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def is_zero(self):
@@ -71,39 +63,23 @@ class LamPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def coefficient(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if k < len(self.coeffs) else self._zero()
 
     # -- ring operations ----------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, LamPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LamPoly((other,))
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return LamPoly(
+        return self._like(
             [self.coefficient(k) + other.coefficient(k) for k in range(n)]
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LamPoly([-c for c in self.coeffs])
+        return self._like([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -119,14 +95,79 @@ class LamPoly:
         if other is None:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return LamPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return self._like(())
+        out = [self._zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LamPoly(out)
+                out[i + j] = out[i + j] + a * b
+        return self._like(out)
 
     __rmul__ = __mul__
+
+    def divmod(self, other):
+        """Long division (quotient, remainder); the coefficient ring must
+        divide exactly, so this needs a field such as the rationals."""
+        other = self._coerce(other)
+        if other is None or other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return self._like(()), self
+        quot = [self._zero()] * (dq + 1)
+        lead = other.coeffs[-1]
+        for k in range(dq, -1, -1):
+            top = rem[k + len(other.coeffs) - 1]
+            if not top:
+                continue
+            q = top / lead
+            quot[k] = q
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] = rem[k + j] - q * b
+        return self._like(quot), self._like(rem)
+
+
+class LamPoly(DensePoly):
+    """Exact polynomial in the dimensionless deformation parameter.
+
+    Coefficients are ``Fraction``s, stored densely; ``coeffs[k]``
+    multiplies the k-th power.  Instances are immutable.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        self._set_coeffs([exact_rational(c) for c in coeffs])
+
+    # -- constructors -------------------------------------------------
+    @classmethod
+    def const(cls, c):
+        return cls((c,))
+
+    # -- ring hooks ---------------------------------------------------
+    def _coerce(self, other):
+        if isinstance(other, LamPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return LamPoly((other,))
+        return None
+
+    def _like(self, coeffs):
+        return LamPoly(coeffs)
+
+    def _zero(self):
+        return Fraction(0)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -143,27 +184,6 @@ class LamPoly:
         for c in reversed(self.coeffs):
             acc = acc * lam + (c if exact else float(c))
         return acc
-
-    def divmod(self, other):
-        """Exact polynomial division; coefficients stay rational."""
-        other = self._coerce(other)
-        if other is None or other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return LamPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            top = rem[k + len(other.coeffs) - 1]
-            if top == 0:
-                continue
-            q = top / lead
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= q * b
-        return LamPoly(quot), LamPoly(rem)
 
     def __str__(self):
         if not self.coeffs:

@@ -136,16 +136,9 @@ def hamiltonian_chain_partner(f: LadderFunction, b=1) -> LadderFunction:
 
 def hamiltonian_full(f: LadderFunction) -> LadderFunction:
     """The oscillator Hamiltonian per (hbar*alpha) as a differential
-    expression: -(1/2)(z f'' + lam*y f') + (1/2)(1+lam) y^2 z^-1 f."""
-    lam = f.lam
-    df = f.differentiate()
-    ddf = df.differentiate()
-    kinetic = ddf.times_z_power(1) + df.times_y().scale(lam)
-    if lam == 0:
-        potential = f.times_poly(LambdaPoly((0, 0, 1), lam=Fraction(0)))
-    else:
-        potential = f.times_y().times_y().times_z_power(-1).scale(1 + lam)
-    return kinetic.scale(Fraction(-1, 2)) + potential.scale(Fraction(1, 2))
+    expression: -(1/2)(z f'' + lam*y f') + (1/2)(1+lam) y^2 z^-1 f,
+    which is the b = 1 chain Hamiltonian shifted up by 1/2."""
+    return hamiltonian_diff_form(f, 1) + f.scale(Fraction(1, 2))
 
 
 def hamiltonian_diff_form(f: LadderFunction, b=1) -> LadderFunction:

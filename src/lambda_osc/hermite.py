@@ -20,17 +20,12 @@ scalars ``proportionality`` recovers.
 from fractions import Fraction
 
 from .exact import LamPoly, exact_rational, simplify_ratio
-from .polynomials import GENERIC, LadderFunction, LambdaPoly
+from .polynomials import GENERIC, LadderFunction, LambdaPoly, ring_elem
 
 NORM_SERIES_EVEN = "series_h1"
 NORM_SERIES_ODD = "series_h2"
 NORM_RODRIGUES = "rodrigues"
 NORM_GENERATING = "generating"
-
-
-def _lam_elem(lam):
-    """The deformation parameter as a coefficient-ring element."""
-    return LamPoly.LAM if lam is GENERIC else exact_rational(lam)
 
 
 def series_solution(p: int, lam=GENERIC) -> LambdaPoly:
@@ -43,12 +38,9 @@ def series_solution(p: int, lam=GENERIC) -> LambdaPoly:
     """
     if p < 0:
         raise ValueError("index must be nonnegative")
-    generic = lam is GENERIC
-    L = _lam_elem(lam)
-    one = LamPoly.ONE if generic else Fraction(1)
-    zero = LamPoly.ZERO if generic else Fraction(0)
+    L, one = ring_elem(LamPoly.LAM, lam), ring_elem(1, lam)
     eig = 2 * p - L * p**2  # the (2e - 1) combination at the polynomial index
-    coeffs = [zero] * (p + 1)
+    coeffs = [ring_elem(0, lam)] * (p + 1)
     start = p % 2
     a = one
     coeffs[start] = a
@@ -104,10 +96,7 @@ def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
     """
     if n_max < 0:
         raise ValueError("index must be nonnegative")
-    generic = lam is GENERIC
-    L = _lam_elem(lam)
-    one = LamPoly.ONE if generic else Fraction(1)
-    zero = LamPoly.ZERO if generic else Fraction(0)
+    L, one = ring_elem(LamPoly.LAM, lam), ring_elem(1, lam)
 
     # t^n coefficient of sum_k w_k (2ty - t^2)^k, gathered by powers of y
     out = []
@@ -125,7 +114,7 @@ def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
                 binom[k - 1][i] if i <= k - 1 else 0
             )
     for n in range(n_max + 1):
-        coeffs = [zero] * (n + 1)
+        coeffs = [ring_elem(0, lam)] * (n + 1)
         for k in range((n + 1) // 2, n + 1):
             i = n - k  # power of (-t^2) drawn from (2ty - t^2)^k
             c = weights[k] * (binom[k][i] * (-1) ** i * 2 ** (k - i) * fact[n])
@@ -149,7 +138,7 @@ def three_term_next(h_n: LambdaPoly, h_nm1: LambdaPoly, n: int) -> LambdaPoly:
             )
     if h_n.lam != h_nm1.lam:
         raise ValueError("mixed deformation modes")
-    L = _lam_elem(h_n.lam)
+    L = ring_elem(LamPoly.LAM, h_n.lam)
     term1 = h_n.shift_y().scale(2 * (1 - L * n))
     term2 = h_nm1.scale(n * (2 - L * (n - 1)))
     return (term1 - term2).replace(normalization=NORM_GENERATING, n=n + 1)
@@ -165,7 +154,7 @@ def derivative_relation_check(family: list[LambdaPoly], n: int) -> bool:
             f"need members up to index {n + 2}, family holds {len(family)}"
         )
     h0, h1, h2 = family[n], family[n + 1], family[n + 2]
-    L = _lam_elem(h0.lam)
+    L = ring_elem(LamPoly.LAM, h0.lam)
     lhs = h2.derivative() + (
         h1.derivative().shift_y().scale(2) - h0.derivative().scale(n + 1)
     ).scale(L * (n + 2))
@@ -194,8 +183,6 @@ def proportionality(pa: LambdaPoly, pb: LambdaPoly):
         if pa.coefficient(j) * den != pb.coefficient(j) * num:
             return None
     if pa.generic:
-        num = num if isinstance(num, LamPoly) else LamPoly.const(num)
-        den = den if isinstance(den, LamPoly) else LamPoly.const(den)
         return simplify_ratio(num, den)
     return num / den
 
@@ -217,7 +204,7 @@ def ode_residual(h: LambdaPoly, p: int) -> LambdaPoly:
     """Exact residual of the defining equation at polynomial index p:
     (1 + lam*y^2) h'' + (lam - 2) y h' + (2p - lam*p^2) h.
     """
-    L = _lam_elem(h.lam)
+    L = ring_elem(LamPoly.LAM, h.lam)
     return (
         h.derivative().derivative().times_z()
         + h.derivative().shift_y().scale(L - 2)

@@ -8,10 +8,10 @@ coordinate y.  Its coefficients live in one of two exact rings:
 * generic mode -- ``LamPoly`` coefficients, i.e. exact polynomials in
   the deformation parameter itself (``poly.lam is None``).
 
-The same arithmetic code serves both rings.  ``LadderFunction``
-represents members of the closed family z^s * Q(y) with z = 1 + lam*y^2,
-on which differentiation and the ladder operators act exactly; that
-family requires a fixed rational deformation.  At lam = 0 the family
+The same arithmetic code, ``exact.DensePoly``, serves both rings.
+``LadderFunction`` represents members of the closed family z^s * Q(y)
+with z = 1 + lam*y^2, on which differentiation and the ladder operators
+act exactly; that family requires a fixed rational deformation.  At lam = 0 the family
 degenerates and the envelope is taken to be the Gaussian exp(-y^2/2),
 which is its analytic limit.
 """
@@ -20,22 +20,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import LamPoly, exact_rational
+from .exact import DensePoly, LamPoly, exact_rational
 
 GENERIC = None  # sentinel for poly.lam in generic mode
 
 
-def _ring_zero(generic: bool):
-    return LamPoly.ZERO if generic else Fraction(0)
+def ring_elem(c, lam=GENERIC):
+    """``c`` (a rational or a ``LamPoly``) in the coefficient ring of the
+    deformation mode ``lam``.
 
-
-def _coerce_elem(c, generic: bool):
-    if generic:
+    Generic mode lifts rationals to constant ``LamPoly``s; a fixed value
+    evaluates ``LamPoly``s there, so ``ring_elem(LamPoly.LAM, lam)`` is the
+    deformation parameter itself in either ring.
+    """
+    if lam is GENERIC:
         return c if isinstance(c, LamPoly) else LamPoly.const(c)
-    return c if isinstance(c, Fraction) else Fraction(c)
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, LamPoly):
+        lam = exact_rational(lam)
+        return lam if c is LamPoly.LAM else c(lam)  # LAM: no arithmetic
+    return Fraction(c)
 
 
-class LambdaPoly:
+class LambdaPoly(DensePoly):
     """Dense exact polynomial in y with a deformation mode tag.
 
     ``n`` is the nominal family index (parity bookkeeping); the true
@@ -43,22 +51,15 @@ class LambdaPoly:
     leading factors vanish at special deformation values.
     """
 
-    __slots__ = ("coeffs", "lam", "normalization", "n")
+    __slots__ = ("lam", "normalization", "n")
 
     def __init__(self, coeffs, lam=GENERIC, normalization=None, n=None):
-        generic = lam is GENERIC
         if lam is not GENERIC:
             lam = exact_rational(lam)
-        cs = [_coerce_elem(c, generic) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set_coeffs([ring_elem(c, lam) for c in coeffs])
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "normalization", normalization)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoly is immutable")
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -83,25 +84,6 @@ class LambdaPoly:
         return self.lam is GENERIC
 
     @property
-    def degree(self):
-        """True degree: index of the last exactly-nonzero coefficient."""
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return _ring_zero(self.generic)
-
-    @property
-    def leading(self):
-        if not self.coeffs:
-            return _ring_zero(self.generic)
-        return self.coeffs[-1]
-
-    @property
     def parity(self):
         """'even' or 'odd' from the nominal index (true degree if unset)."""
         k = self.n if self.n is not None else max(self.degree, 0)
@@ -114,13 +96,19 @@ class LambdaPoly:
             not c for i, c in enumerate(self.coeffs) if (i - k) % 2 != 0
         )
 
-    def _lam_elem(self):
-        """The deformation parameter as an element of the coefficient ring."""
-        return LamPoly.LAM if self.generic else self.lam
-
-    def _check_mode(self, other):
+    # -- ring hooks -------------------------------------------------------
+    def _coerce(self, other):
+        if not isinstance(other, LambdaPoly):
+            return None
         if self.lam != other.lam:
             raise ValueError("mixed deformation modes in polynomial arithmetic")
+        return other
+
+    def _like(self, coeffs):
+        return LambdaPoly(coeffs, lam=self.lam)
+
+    def _zero(self):
+        return LamPoly.ZERO if self.generic else Fraction(0)
 
     # -- arithmetic -------------------------------------------------------
     def __eq__(self, other):
@@ -131,50 +119,16 @@ class LambdaPoly:
     def __hash__(self):
         return hash((self.lam, self.coeffs))
 
-    def __add__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        self._check_mode(other)
-        m = max(len(self.coeffs), len(other.coeffs))
-        return LambdaPoly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(m)],
-            lam=self.lam,
-        )
-
-    def __neg__(self):
-        return LambdaPoly([-c for c in self.coeffs], lam=self.lam)
-
-    def __sub__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        self._check_mode(other)
-        if self.is_zero() or other.is_zero():
-            return LambdaPoly.zero(self.lam)
-        out = [_ring_zero(self.generic)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return LambdaPoly(out, lam=self.lam)
-
     def scale(self, c):
         """Multiply by a scalar from the coefficient ring."""
-        c = _coerce_elem(c, self.generic)
+        c = ring_elem(c, self.lam)
         return LambdaPoly([a * c for a in self.coeffs], lam=self.lam)
 
     def shift_y(self, k=1):
         """Multiply by y^k."""
         if self.is_zero():
             return self
-        return LambdaPoly(
-            [_ring_zero(self.generic)] * k + list(self.coeffs), lam=self.lam
-        )
+        return LambdaPoly([self._zero()] * k + list(self.coeffs), lam=self.lam)
 
     def derivative(self):
         return LambdaPoly(
@@ -183,40 +137,19 @@ class LambdaPoly:
 
     def times_z(self):
         """Multiply by z = 1 + lam*y^2 (works in both modes)."""
-        lam = self._lam_elem()
-        z = LambdaPoly((1, _ring_zero(self.generic), lam), lam=self.lam)
-        return self * z
+        lam = ring_elem(LamPoly.LAM, self.lam)
+        return self * LambdaPoly((1, 0, lam), lam=self.lam)
 
     def divmod_poly(self, other):
         """Exact division (fixed mode only; coefficients form a field)."""
         if self.generic or other.generic:
             raise ValueError("exact polynomial division requires fixed mode")
-        self._check_mode(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return LambdaPoly.zero(self.lam), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            top = rem[k + len(other.coeffs) - 1]
-            if top == 0:
-                continue
-            q = top / lead
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= q * b
-        return (
-            LambdaPoly(quot, lam=self.lam),
-            LambdaPoly(rem, lam=self.lam),
-        )
+        return self.divmod(other)
 
     # -- evaluation -------------------------------------------------------
     def evaluate_exact(self, y):
         """Horner evaluation with exact coefficients (y a Fraction/int)."""
-        acc = _ring_zero(self.generic)
+        acc = self._zero()
         y = Fraction(y)
         for c in reversed(self.coeffs):
             acc = acc * y + c

@@ -105,6 +105,40 @@ def overlap_halfwidth(lam: float, degree: int, tail_tol: float = 1e-14) -> float
     return min(u, 600.0 / math.sqrt(lam))
 
 
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on (-1, 1), bit for bit those of
+    ``numpy.polynomial.legendre.leggauss(n)``, at half its peak memory.
+
+    leggauss hands its dense n x n companion matrix (32 MB at 2048 nodes)
+    to numpy's eigvalsh, which copies it before calling LAPACK; scipy's
+    eigvalsh runs the same LAPACK routine on the matrix in place.  The
+    Newton polish and the weights are leggauss's own steps.
+    """
+    # scipy.linalg is imported on first use, as in sturm_liouville
+    from scipy.linalg import eigvalsh
+
+    leg = np.polynomial.legendre
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    # the companion matrix is symmetric, so its transpose is the same
+    # matrix in the Fortran order LAPACK overwrites without a copy
+    x = eigvalsh(leg.legcompanion(c).T, overwrite_a=True, check_finite=False,
+                 driver="evd")
+    # improve the roots by one Newton step
+    dy = leg.legval(x, c)
+    df = leg.legval(x, leg.legder(c))
+    x -= dy / df
+    # weights, scaled against overflow, then symmetrized and normalized
+    fm = leg.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def _paired_nodes(n: int):
     """Positive Gauss-Legendre nodes with weights, plus the center term.
 
@@ -115,7 +149,7 @@ def _paired_nodes(n: int):
     cached = _NODE_CACHE.get(n)
     if cached is not None:
         return cached
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     pos = x > 1e-14
     center = np.abs(x) <= 1e-14
     out = (x[pos], w[pos], float(w[center].sum()))

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 GRID_CAP_ENV = "LAMBDA_OSC_GRID_CAP"
 DEFAULT_GRID_CAP = 1 << 14
@@ -128,6 +127,10 @@ def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretiz
 
 def eigenvalues(disc: SLDiscretization, k: int) -> np.ndarray:
     """Lowest k eigenvalues, ascending (deterministic for fixed inputs)."""
+    # scipy.linalg is imported on first use: it is most of the package
+    # import time, and the commands that never solve need none of it
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if k > disc.n - 2:
         raise ValueError(f"requested {k} eigenvalues from a {disc.n}-point grid")
     return eigvalsh_tridiagonal(
@@ -137,6 +140,8 @@ def eigenvalues(disc: SLDiscretization, k: int) -> np.ndarray:
 
 def eigenpairs(disc: SLDiscretization, k: int):
     """Lowest k eigenvalues and grid eigenvectors."""
+    from scipy.linalg import eigh_tridiagonal
+
     if k > disc.n - 2:
         raise ValueError(f"requested {k} eigenvalues from a {disc.n}-point grid")
     return eigh_tridiagonal(

@@ -357,7 +357,7 @@ def check_commutator(tol: float = 1e-10, lams=(0.5, -0.5)) -> list[CheckResult]:
     for lam in lams:
         lam_r = Fraction(lam)
         p = PhysicalParams(m=1, alpha=1, hbar=1, lam=lam_r)
-        xs = np.linspace(-1.2, 1.2, 20) if lam > 0 else np.linspace(-1.2, 1.2, 20)
+        xs = np.linspace(-1.2, 1.2, 20)
         g = LadderFunction(lam_r, Fraction(1), LambdaPoly((1, 0, 1), lam=lam_r))
         dev = max(
             abs(
@@ -470,12 +470,24 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(groups=None) -> list[CheckResult]:
-    """Run the named groups (all of them by default), in a fixed order."""
+# groups whose checks take the ``lams`` and ``tol`` overrides of run_checks
+_OVERRIDABLE = ("sl", "gram")
+
+
+def run_checks(groups=None, lams=None, tol=None) -> list[CheckResult]:
+    """Run the named groups (all of them by default), in a fixed order.
+
+    ``lams`` (deformation values) and ``tol`` override the defaults of the
+    checks that take them, the SL cross-validation and the Gram check;
+    ``None`` keeps each default.
+    """
+    overrides = {k: v for k, v in (("lams", lams), ("tol", tol))
+                 if v is not None}
     results = []
     for name, fns in ALL_CHECKS.items():
         if groups and name not in groups:
             continue
+        kwargs = overrides if name in _OVERRIDABLE else {}
         for fn in fns:
-            results.extend(fn())
+            results.extend(fn(**kwargs))
     return results

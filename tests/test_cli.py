@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lambda_osc
 from lambda_osc.cli import main, parse_deformation
 from fractions import Fraction
 
@@ -147,6 +152,27 @@ class TestVerifyCommand:
         assert "sl_eigenvalues" in by_check
         (sl_rec,) = [r for r in records if r["check"] == "sl_eigenvalues"]
         assert sl_rec["parameters"]["levels"] == 7
+
+    def test_tol_override_without_deformation(self, capsys):
+        code, out = run_cli(capsys, "verify", "--sl", "--tol", "1e-7",
+                            "--quiet")
+        assert code == 0
+        records = json.loads(out)
+        sl_recs = [r for r in records if r["check"] == "sl_eigenvalues"]
+        assert len(sl_recs) == 5  # the default deformation values
+        assert all(r["threshold"] == 1e-7 for r in sl_recs)
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # a fresh interpreter, so no other test has imported scipy yet
+        src = Path(lambda_osc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = ("import sys, lambda_osc.cli; "
+                 "print('scipy.linalg' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestDeterminism:

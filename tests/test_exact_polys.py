@@ -10,6 +10,7 @@ from lambda_osc.polynomials import (
     LadderFunction,
     LambdaPoly,
     horner_compensated,
+    ring_elem,
 )
 
 
@@ -56,6 +57,18 @@ class TestLamPoly:
         assert str(LamPoly((2, -3, 1))) == "2 - 3*L + L^2"
         assert str(LamPoly()) == "0"
 
+    def test_division_by_zero_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            LamPoly((1, 2)).divmod(LamPoly())
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            LamPoly((0.5,))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            LamPoly.ONE.coeffs = ()
+
 
 class TestLambdaPoly:
     def test_mode_mixing_rejected(self):
@@ -97,6 +110,24 @@ class TestLambdaPoly:
         p = LambdaPoly((1, 2, 3), lam=GENERIC)
         with pytest.raises(ValueError):
             p.divmod_poly(p)
+
+    def test_fixed_mode_division(self):
+        lam = Fraction(1, 3)
+        z = LambdaPoly((1, 0, lam), lam=lam)
+        p = z * LambdaPoly((2, 1), lam=lam) + LambdaPoly.one(lam)
+        q, r = p.divmod_poly(z)
+        assert q == LambdaPoly((2, 1), lam=lam)
+        assert r == LambdaPoly.one(lam)
+        with pytest.raises(ZeroDivisionError):
+            z.divmod_poly(LambdaPoly.zero(lam))
+
+    def test_ring_elem_in_both_modes(self):
+        assert ring_elem(LamPoly.LAM) == LamPoly.LAM
+        assert ring_elem(3) == LamPoly.const(3)
+        assert ring_elem(LamPoly.LAM, Fraction(2, 7)) == Fraction(2, 7)
+        assert ring_elem(LamPoly((1, 1)), 1) == Fraction(2)
+        with pytest.raises(TypeError):
+            ring_elem(LamPoly.LAM, 0.3)
 
     def test_json_dict(self):
         p = LambdaPoly((Fraction(-1, 2), 0, 1), lam=Fraction(1, 3),

@@ -9,6 +9,7 @@ from lambda_osc.quadrature import (
     QuadratureSpec,
     SCHEME_THETA,
     SCHEME_U_TRUNCATED,
+    _leggauss,
     integrate_measure,
     measure_total,
     overlap_halfwidth,
@@ -153,6 +154,17 @@ class TestMeasureIntegration:
             QuadratureSpec(lam=0.1, half_width=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(lam=-0.1, nodes=4)
+
+
+class TestRule:
+    @pytest.mark.parametrize("n", [*range(8, 40), 64, 128, 256, 512, 1024, 2048])
+    def test_rule_is_numpy_leggauss_bit_for_bit(self, n):
+        # solving in place must not move a single bit of any node or
+        # weight, so every integral keeps its value
+        x0, w0 = np.polynomial.legendre.leggauss(n)
+        x1, w1 = _leggauss(n)
+        assert np.array_equal(x0, x1)
+        assert np.array_equal(w0, w1)
 
 
 class TestSelfAdjointWeights:
