@@ -3,18 +3,23 @@
 The equation of motion (1 + lam*x^2) x'' - lam*x x'^2 + alpha^2 x = 0
 has quasi-harmonic solutions x = A sin(w t + phi) with the amplitude
 restriction w^2 = alpha^2 / (1 + lam*A^2).  The integrator works in the
-canonical pair (x, p) of the position-dependent-mass Hamiltonian (unit
-mass)
+arclength coordinate u = integral dx / sqrt(z), z = 1 + lam*x^2, and its
+conjugate momentum q = v / sqrt(z).  The chart is x = S(a)/sqrt|lam|,
+sqrt(z) = K(a) with a = sqrt|lam|*u, and (S, K) = (sinh, cosh) for
+lam > 0, (sin, cos) for lam < 0 (x = u, K = 1 at lam = 0).  In (u, q) the
+Hamiltonian (unit mass) separates,
 
-    H = (1/2)(1 + lam*x^2) p^2 + (1/2) alpha^2 x^2 / (1 + lam*x^2)
+    H = (1/2) q^2 + V(x(u)),   V = (1/2) alpha^2 x^2 / z,
+    dV/du = alpha^2 x / z^(3/2),
 
-split into its kinetic and potential parts.  Both sub-flows are exact:
-the kinetic flow is uniform motion of the arclength coordinate
-u = integral dx / sqrt(1 + lam*x^2) at conserved speed p*sqrt(z), and
-the potential kick is p -= h * alpha^2 x / z^2 at fixed x.  The Strang
-composition kick-drift-kick is explicit, time-reversible, symplectic
-and second order, so the energy error stays bounded over long runs
-instead of drifting.
+so the drift u += h*q and the kick q -= h*dV/du are both exact flows.
+Their Strang composition kick-drift-kick (Stormer-Verlet) is explicit,
+time-reversible, symplectic and second order, so the energy error stays
+bounded over long runs instead of drifting.  Adjacent half-kicks share
+one force evaluation (leapfrog); the momentum between them is the
+synchronised one, used for energy, zero crossings and samples.  In the
+canonical pair (x, p = v/z) of H = (1/2) z p^2 + V this is the same
+kick-drift-kick scheme, so the two forms differ only by rounding.
 """
 
 import math
@@ -94,47 +99,75 @@ class Trajectory:
     e: list
 
 
-def _domain_halfwidth_u(lam: float) -> float:
-    return 0.5 * math.pi / math.sqrt(-lam)
+def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
+              h: float, n: int, traj: Trajectory | None = None,
+              sample_every: int = 0):
+    """Advance n leapfrog steps from (x, v) at time t0 in the (u, q) chart.
 
-
-def _steps(x: float, p: float, alpha: float, lam: float, h: float, n: int,
-           t0: float, on_sample=None, sample_every: int = 0):
-    """Advance n Strang steps; optionally report sampled states.
-
-    Returns the final (x, p).  Raises DomainExitError if the kinetic
-    drift would cross a wall (negative coupling).
+    Every step does one drift, one chart evaluation and one force
+    evaluation; the state between the two half-kicks is synchronised.
+    Every sample_every-th synchronised state is appended to traj (if
+    given).  Returns (max |E - E0|, first and last upward zero-crossing
+    times of x, number of crossings after the first).  Raises
+    DomainExitError if a drift crosses a wall (negative coupling).
     """
+    e0 = energy(ClassicalState(x, v), alpha, lam)
     a2 = alpha * alpha
-    half = 0.5 * h
+    wall = math.inf
     if lam > 0:
-        rt = math.sqrt(lam)
+        w = math.sqrt(lam)
+        S, K = math.sinh, math.cosh
+        a = math.asinh(w * x)
     elif lam < 0:
-        rt = math.sqrt(-lam)
-        u_wall = _domain_halfwidth_u(lam)
-    sinh, asinh, sin, asin, sqrt = (
-        math.sinh, math.asinh, math.sin, math.asin, math.sqrt,
-    )
-    for i in range(n):
-        z = 1.0 + lam * x * x
-        p -= half * a2 * x / (z * z)
-        c = p * sqrt(z)
-        if lam > 0:
-            u = asinh(rt * x) / rt + h * c
-            x = sinh(rt * u) / rt
-        elif lam < 0:
-            u = asin(rt * x) / rt + h * c
-            if not -u_wall < u < u_wall:
-                raise DomainExitError(t0 + (i + 1) * h)
-            x = sin(rt * u) / rt
-        else:
-            x = x + h * c
-        z = 1.0 + lam * x * x
-        p = c / sqrt(z)
-        p -= half * a2 * x / (z * z)
-        if on_sample is not None and (i + 1) % sample_every == 0:
-            on_sample(t0 + (i + 1) * h, x, p)
-    return x, p
+        w = math.sqrt(-lam)
+        S, K = math.sin, math.cos
+        a = math.asin(w * x)
+        wall = 0.5 * math.pi
+    else:
+        w = 1.0
+        S, K = float, lambda _: 1.0
+        a = x
+    # a = w*u, x = s/w, k = sqrt(z), r = s/k; V = c*r^2, half-kick g*r/k^2
+    wh = w * h
+    lo = -wall
+    g = 0.5 * h * a2 / w
+    c = 0.5 * a2 / (w * w)
+    s, k = S(a), K(a)
+    q = v / k
+    f = g * (s / k) / (k * k)
+    e_lo = e_hi = e0
+    first_cross = last_cross = None
+    crossings = 0
+    next_sample = sample_every if traj is not None else 0
+    for i in range(1, n + 1):
+        q -= f
+        a += wh * q
+        if not lo < a < wall:
+            raise DomainExitError(t0 + i * h)
+        s_prev = s
+        s = S(a)
+        k = K(a)
+        r = s / k
+        f = g * r / (k * k)
+        q -= f
+        e = 0.5 * q * q + c * r * r
+        if e > e_hi:
+            e_hi = e
+        elif e < e_lo:
+            e_lo = e
+        if s_prev < 0.0 <= s:
+            last_cross = t0 + (i - 1 + s_prev / (s_prev - s)) * h
+            if first_cross is None:
+                first_cross = last_cross
+            else:
+                crossings += 1
+        if i == next_sample:
+            next_sample += sample_every
+            traj.t.append(t0 + i * h)
+            traj.x.append(s / w)
+            traj.v.append(q * k)
+            traj.e.append(e)
+    return max(e_hi - e0, e0 - e_lo), first_cross, last_cross, crossings
 
 
 def integrate(state0: ClassicalState, alpha: float, lam: float, total_time: float,
@@ -142,24 +175,15 @@ def integrate(state0: ClassicalState, alpha: float, lam: float, total_time: floa
     """Fixed-step integration from an initial state; samples (t, x, v, E)."""
     if h <= 0:
         raise ValueError("step must be positive")
+    if sample_every < 1:
+        raise ValueError("sample_every must be positive")
     if lam < 0 and not 1.0 + lam * state0.x * state0.x > 0:
         raise ValueError("initial state outside the domain")
     n = max(1, round(total_time / h))
-    z0 = 1.0 + lam * state0.x * state0.x
-    x, p = state0.x, state0.v / z0
     traj = Trajectory(t=[state0.t], x=[state0.x], v=[state0.v],
                       e=[energy(state0, alpha, lam)])
-
-    def sample(t, xs, ps):
-        zs = 1.0 + lam * xs * xs
-        vs = ps * zs
-        traj.t.append(t)
-        traj.x.append(xs)
-        traj.v.append(vs)
-        traj.e.append(energy(ClassicalState(xs, vs, t), alpha, lam))
-
-    _steps(x, p, alpha, lam, h, n, state0.t, on_sample=sample,
-           sample_every=sample_every)
+    _leapfrog(state0.x, state0.v, state0.t, alpha, lam, h, n, traj,
+              sample_every)
     return traj
 
 
@@ -184,57 +208,11 @@ def measure_period(alpha: float, lam: float, amplitude: float,
     """
     orbit = OrbitParams.from_amplitude(amplitude, alpha, lam)
     h = orbit.period / steps_per_period
-    n = n_periods * steps_per_period
-    a2 = alpha * alpha
-    half = 0.5 * h
-    x, p = amplitude, 0.0
-    e0 = 0.5 * (a2 * x * x) / (1.0 + lam * x * x)
-    drift = 0.0
-    first_cross = None
-    last_cross = None
-    crossings = 0
-    if lam > 0:
-        rt = math.sqrt(lam)
-    elif lam < 0:
-        rt = math.sqrt(-lam)
-        u_wall = _domain_halfwidth_u(lam)
-    sinh, asinh, sin, asin, sqrt = (
-        math.sinh, math.asinh, math.sin, math.asin, math.sqrt,
-    )
-    t = 0.0
-    for i in range(n):
-        x_prev = x
-        z = 1.0 + lam * x * x
-        p -= half * a2 * x / (z * z)
-        c = p * sqrt(z)
-        if lam > 0:
-            u = asinh(rt * x) / rt + h * c
-            x = sinh(rt * u) / rt
-        elif lam < 0:
-            u = asin(rt * x) / rt + h * c
-            if not -u_wall < u < u_wall:
-                raise DomainExitError(t + h)
-            x = sin(rt * u) / rt
-        else:
-            x = x + h * c
-        z = 1.0 + lam * x * x
-        p = c / sqrt(z)
-        p -= half * a2 * x / (z * z)
-        t += h
-        if x_prev < 0.0 <= x:
-            t_cross = t - h + h * (-x_prev) / (x - x_prev)
-            if first_cross is None:
-                first_cross = t_cross
-            else:
-                crossings += 1
-            last_cross = t_cross
-        v = p * z
-        e = 0.5 * (v * v + a2 * x * x) / z
-        d = abs(e - e0)
-        if d > drift:
-            drift = d
+    drift, first_cross, last_cross, crossings = _leapfrog(
+        amplitude, 0.0, 0.0, alpha, lam, h, n_periods * steps_per_period)
     if crossings < 1:
         raise RuntimeError("no full period observed; integrate longer")
+    e0 = energy(ClassicalState(amplitude, 0.0), alpha, lam)
     return PeriodProbe(
         period=(last_cross - first_cross) / crossings,
         crossings=crossings,

@@ -9,6 +9,7 @@ byte-identical files.
 import argparse
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -232,7 +233,7 @@ def cmd_wavefn(args) -> int:
 
 def cmd_gram(args) -> int:
     lams = _lambdas(args, GRAM_LAMBDAS)
-    tol = args.tol or 1e-10
+    tol = 1e-10 if args.tol is None else args.tol
     rows = []
     report = []
     for lam in lams:
@@ -258,7 +259,7 @@ def cmd_gram(args) -> int:
 
 def cmd_sl(args) -> int:
     lams = _lambdas(args, SL_LAMBDAS)
-    tol = args.tol or 1e-6
+    tol = 1e-6 if args.tol is None else args.tol
     rows = []
     report = []
     for lam in lams:
@@ -497,9 +498,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_negative_lambdas(argv):
+    """Join '--lambda' and a following negative value such as -3/7.
+
+    argparse takes such a token for an option, since only plain decimals
+    like -0.3 pass its negative-number test; '--lambda=-3/7' always works.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--lambda" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--lambda={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _bind_negative_lambdas(sys.argv[1:] if argv is None else argv))
     if getattr(args, "amplitude", None) is None and args.command == "classical":
         args.amplitude = [0.5, 1.0] if args.probe else [1.0]
     try:

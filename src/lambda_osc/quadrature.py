@@ -59,6 +59,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 8:
             raise ValueError("at least 8 nodes")
+        if self.rtol < 1e-14:
+            raise ValueError("tolerance below attainable floating-point accuracy")
         scheme = self.scheme or (
             SCHEME_THETA if self.lam < 0 else SCHEME_U_TRUNCATED
         )

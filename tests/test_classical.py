@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -12,6 +13,8 @@ from lambda_osc.classical import (
     measure_period,
     ode_residual,
 )
+from lambda_osc.cli import main
+from lambda_osc.verification import check_classical
 
 
 class TestOrbitParams:
@@ -85,6 +88,11 @@ class TestIntegrate:
         assert back.x[-1] == pytest.approx(s0.x, abs=1e-15)
         assert -back.v[-1] == pytest.approx(s0.v, abs=1e-15)
 
+    def test_sample_interval_must_be_positive(self):
+        with pytest.raises(ValueError):
+            integrate(ClassicalState(1.0, 0.0), 1.0, 0.5, 1.0, 1e-2,
+                      sample_every=0)
+
     def test_initial_state_outside_domain(self):
         with pytest.raises(ValueError):
             integrate(ClassicalState(1.5, 0.0), 1.0, -0.5, 1.0, 1e-3)
@@ -122,3 +130,52 @@ class TestPeriodMeasurement:
         probe = measure_period(1.0, 0.0, 1.0, n_periods=50,
                                steps_per_period=10_000)
         assert probe.period == pytest.approx(2 * math.pi, rel=1e-7)
+
+    def test_wall_exit_carries_time(self):
+        # a coarse step at lam*A^2 = -0.98 leaves the domain on step one
+        with pytest.raises(DomainExitError) as err:
+            measure_period(1.0, -0.5, 1.4, n_periods=2, steps_per_period=4)
+        assert err.value.time == pytest.approx(0.2221441469, abs=1e-10)
+
+
+class TestSharedStepper:
+    @pytest.mark.parametrize("lam", [0.5, -0.5, 0.0])
+    def test_integrate_and_probe_take_the_same_steps(self, lam):
+        # both entry points run the one stepper: sampling every step
+        # reproduces the probe's drift to the last bit
+        amp, n_periods, spp = 1.0, 3, 1000
+        h = OrbitParams.from_amplitude(amp, 1.0, lam).period / spp
+        n = n_periods * spp
+        traj = integrate(ClassicalState(amp, 0.0), 1.0, lam, n * h, h,
+                         sample_every=1)
+        assert len(traj.t) == n + 1
+        e0 = traj.e[0]
+        drift = max(abs(e - e0) for e in traj.e) / e0
+        probe = measure_period(1.0, lam, amp, n_periods, spp)
+        assert drift == probe.max_rel_energy_drift
+
+    def test_check_classical_work_is_pinned(self):
+        # a faster stepper must not buy its speed with a smaller check
+        params = inspect.signature(check_classical).parameters
+        defaults = {k: v.default for k, v in params.items()}
+        assert defaults == {
+            "period_tol": 1e-4,
+            "drift_tol": 1e-6,
+            "lams": (0.5, -0.5, 0.1, -0.1),
+            "amplitudes": (0.5, 1.0),
+            "n_periods": 100,
+            "steps_per_period": 10_000,
+        }
+
+    def test_default_cli_trajectory(self, capsys):
+        # lam = 0.5, A = 1, 3 periods at 10,000 steps, every 10th sampled
+        assert main(["classical"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "t,x,v,E"
+        rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 3001
+        orbit = OrbitParams.from_amplitude(1.0, 1.0, 0.5, phase=math.pi / 2)
+        e0 = rows[0][3]
+        for t, x, _v, e in rows:
+            assert abs(x - orbit.x_of_t(t)) <= 1e-4 * orbit.amplitude
+            assert abs(e - e0) <= 1e-6 * e0

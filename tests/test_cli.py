@@ -215,6 +215,17 @@ class TestSlCommand:
                                                    abs=1e-6)
 
 
+class TestZeroTolerance:
+    # --tol 0 is passed on (not replaced by the default) and refused
+    @pytest.mark.parametrize("argv", [["sl", "--lambda", "0.3", "--tol", "0"],
+                                      ["gram", "--tol", "0"]])
+    def test_refused(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "attainable" in err
+
+
 class TestClassicalCommand:
     def test_trajectory_csv(self, capsys):
         _, out = run_cli(capsys, "classical", "--lambda", "0.5", "--periods",

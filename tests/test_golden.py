@@ -16,8 +16,7 @@ from lambda_osc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (golden file, CLI arguments); negative values use --lambda=VALUE so the
-# parser does not take them for an option
+# (golden file, CLI arguments)
 CASES = [
     ("polys.csv", ["polys"]),
     ("polys_series_nmax12.csv",
@@ -31,7 +30,17 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, argv", CASES, ids=[c[0] for c in CASES])
+# the negative fractions above, written after a space as users type them
+SPACED = [
+    ("polys_m3_7_nmax12_ratios.csv",
+     ["polys", "--lambda", "-3/7", "--nmax", "12", "--ratios"]),
+    ("ladder_m1_10_nmax12.csv", ["ladder", "--lambda", "-1/10", "--nmax", "12"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv", CASES + SPACED,
+    ids=[c[0] for c in CASES] + ["spaced-" + c[0] for c in SPACED])
 def test_output_matches_golden(name, argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out

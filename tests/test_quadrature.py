@@ -155,6 +155,12 @@ class TestMeasureIntegration:
         with pytest.raises(ValueError):
             QuadratureSpec(lam=-0.1, nodes=4)
 
+    def test_tolerance_floor(self):
+        # a zero tolerance would double the rule up to the node cap
+        with pytest.raises(ValueError, match="attainable"):
+            QuadratureSpec(lam=0.3, half_width=5, rtol=0)
+        assert QuadratureSpec(lam=0.3, half_width=5).rtol == 1e-10
+
 
 class TestRule:
     @pytest.mark.parametrize("n", [*range(8, 40), 64, 128, 256, 512, 1024, 2048])
