@@ -33,27 +33,24 @@ from .spectrum import (
     energy,
     ladder_energies,
 )
+from .verification import CLASSICAL_LAMBDAS, GRAM_LAMBDAS, SL_LAMBDAS
 from .wavefunctions import gram_matrix, norm_constant, wavefunction
 
-# acceptance parameter sets, used as subcommand defaults
+# acceptance parameter sets, used as subcommand defaults (the verified
+# ones are owned by the checks)
 SPECTRUM_LAMBDAS = (0.8, 0.4, 0.3)
-GRAM_LAMBDAS = (-0.3, -0.1, 0.1, 0.3)
-SL_LAMBDAS = (-0.3, -0.1, 0.0, 0.15, 0.3)
-CLASSICAL_LAMBDAS = (0.5, -0.5, 0.1, -0.1)
 POTENTIAL_LAMBDAS = (-2.0, -1.0, 1.0, 2.0)
 
 
 def parse_deformation(text: str, exact: bool = False):
     """'3/10' is exact; '0.3' is exact when requested, else a float."""
     s = text.strip()
-    if "/" in s:
-        return Fraction(s)
-    if exact:
+    if exact or "/" in s:
         return Fraction(s)
     return float(s)
 
 
-def _common_flags(p: argparse.ArgumentParser):
+def _common_flags(p: argparse.ArgumentParser, tol: bool = False):
     p.add_argument(
         "--lambda",
         dest="lam",
@@ -63,30 +60,33 @@ def _common_flags(p: argparse.ArgumentParser):
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    p.add_argument("--tol", type=float, help="tolerance override")
+    if tol:
+        p.add_argument("--tol", type=float, help="tolerance override")
     p.add_argument("--seed", type=int, help="reserved; accepted and unused")
     p.add_argument("--quiet", action="store_true", help="suppress notes")
 
 
-def _emit(args, header, rows, json_obj):
-    text = (
-        dumps_json(json_obj, indent=2)
-        if args.format == "json"
-        else _csv_text(header, rows)
-    )
+def _write(args, text):
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-        if not args.quiet:
-            print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
-    return buf.getvalue()
+def _emit(args, header, rows, json_obj=None):
+    """CSV of the rows, or JSON (by default one object per row)."""
+    if args.format == "json":
+        if json_obj is None:
+            json_obj = [dict(zip(header, r)) for r in rows]
+        text = dumps_json(json_obj, indent=2)
+    else:
+        buf = io.StringIO()
+        write_csv(buf, header, rows)
+        text = buf.getvalue()
+    _write(args, text)
+    if args.out and not args.quiet:
+        print(f"wrote {args.out}")
 
 
 def _lambdas(args, default, exact=False):
@@ -118,12 +118,7 @@ def cmd_spectrum(args) -> int:
             grid = np.linspace(0.0, top, args.curve_points)
             for m, e in continuous_curve(lam, grid):
                 rows.append((float(lam), "curve", m, e, None, None))
-    header = ["lambda", "kind", "m", "e", "spacing", "bound"]
-    json_obj = [
-        dict(zip(("lambda", "kind", "m", "e", "spacing", "bound"), r))
-        for r in rows
-    ]
-    _emit(args, header, rows, json_obj)
+    _emit(args, ["lambda", "kind", "m", "e", "spacing", "bound"], rows)
     return 0
 
 
@@ -143,15 +138,12 @@ def cmd_potential(args) -> int:
             rows.append((lam, "sample", float(x), float(v)))
         if lam > 0:
             rows.append((lam, "asymptote", None, alpha * alpha / (2.0 * lam)))
-    header = ["lambda", "kind", "x", "value"]
-    json_obj = [dict(zip(header, r)) for r in rows]
-    _emit(args, header, rows, json_obj)
+    _emit(args, ["lambda", "kind", "x", "value"], rows)
     return 0
 
 
 def cmd_polys(args) -> int:
-    lam_list = _lambdas(args, [None], exact=True)
-    lam = lam_list[0] if lam_list != [None] else None
+    lam = parse_deformation(args.lam[0], exact=True) if args.lam else None
     n_max = args.nmax
     if args.normalization == NORM_RODRIGUES:
         if lam is None or lam == 0:
@@ -163,14 +155,9 @@ def cmd_polys(args) -> int:
             return 1
         polys = [rodrigues(n, lam) for n in range(n_max + 1)]
     elif args.normalization == "series":
-        polys = [
-            series_solution(n, Fraction(lam) if lam is not None else None)
-            for n in range(n_max + 1)
-        ]
+        polys = [series_solution(n, lam) for n in range(n_max + 1)]
     else:
-        polys = generating_coeffs(
-            n_max, Fraction(lam) if lam is not None else None
-        )
+        polys = generating_coeffs(n_max, lam)
     dicts = [p.to_json_dict() for p in polys]
     if args.ratios:
         if lam is None or lam == 0:
@@ -179,7 +166,7 @@ def cmd_polys(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        gen = generating_coeffs(n_max, Fraction(lam))
+        gen = generating_coeffs(n_max, lam)
         for n, d in enumerate(dicts):
             c = proportionality(polys[n], gen[n])
             d["ratio_to_generating"] = str(c)
@@ -198,8 +185,7 @@ def cmd_polys(args) -> int:
 
 
 def cmd_wavefn(args) -> int:
-    lam_list = _lambdas(args, [0.3])
-    lam = lam_list[0]
+    lam = _lambdas(args, [0.3])[0]
     dp = classify(lam)
     ms = args.m if args.m else list(
         range((dp.n_max if dp.n_max is not None else 3) + 1)
@@ -302,8 +288,7 @@ def cmd_sl(args) -> int:
 
 
 def cmd_ladder(args) -> int:
-    lam_list = _lambdas(args, ["3/10"], exact=True)
-    lam = Fraction(lam_list[0])
+    lam = parse_deformation(args.lam[0] if args.lam else "3/10", exact=True)
     dp = classify(lam)
     n_max = args.nmax
     if n_max is None:
@@ -326,30 +311,20 @@ def cmd_ladder(args) -> int:
             )
         )
     header = ["n", "chain_energy", "full_energy", "exact_match", "poly_ratio"]
-    json_obj = [
-        {
-            "n": r[0],
-            "chain_energy": r[1],
-            "full_energy": r[2],
-            "exact_match": r[3],
-            "poly_ratio": r[4],
-        }
-        for r in rows
-    ]
-    _emit(args, header, rows, json_obj)
+    _emit(args, header, rows)
     return 0
 
 
 def cmd_classical(args) -> int:
     lams = _lambdas(args, CLASSICAL_LAMBDAS)
+    amps = args.amplitude or ([0.5, 1.0] if args.probe else [1.0])
     periods = args.periods
     if periods is None:
         periods = 100 if args.probe else 3
-    rows = []
     if args.probe:
-        report = []
+        rows = []
         for lam in lams:
-            for amp in args.amplitude:
+            for amp in amps:
                 probe = classical.measure_period(
                     args.alpha, float(lam), amp,
                     n_periods=periods,
@@ -372,24 +347,20 @@ def cmd_classical(args) -> int:
             "lambda", "amplitude", "measured_period", "law_period",
             "rel_period_error", "max_rel_energy_drift",
         ]
-        report = [dict(zip(header, r)) for r in rows]
-        _emit(args, header, rows, report)
+        _emit(args, header, rows)
         return 0
     lam = float(lams[0])
-    orbit = classical.OrbitParams.from_amplitude(args.amplitude[0], args.alpha, lam)
+    orbit = classical.OrbitParams.from_amplitude(amps[0], args.alpha, lam)
     h = orbit.period / args.steps_per_period
     traj = classical.integrate(
-        classical.ClassicalState(args.amplitude[0], 0.0),
+        classical.ClassicalState(amps[0], 0.0),
         args.alpha,
         lam,
         periods * orbit.period,
         h,
         sample_every=args.sample_every,
     )
-    rows = list(zip(traj.t, traj.x, traj.v, traj.e))
-    header = ["t", "x", "v", "E"]
-    json_obj = [dict(zip(header, r)) for r in rows]
-    _emit(args, header, rows, json_obj)
+    _emit(args, ["t", "x", "v", "E"], list(zip(traj.t, traj.x, traj.v, traj.e)))
     return 0
 
 
@@ -399,12 +370,7 @@ def cmd_verify(args) -> int:
     results = verification.run_checks(groups, lams=lams, tol=args.tol)
     records = [r.to_dict() for r in results]
     ok = all(r.passed for r in results)
-    text = dumps_json(records, indent=2)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, dumps_json(records, indent=2))
     if not args.quiet:
         n_pass = sum(r.passed for r in results)
         print(f"{n_pass}/{len(results)} checks passed", file=sys.stderr)
@@ -461,12 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wavefn)
 
     p = sub.add_parser("gram", help="normalized overlap matrices")
-    _common_flags(p)
+    _common_flags(p, tol=True)
     p.add_argument("--mmax", type=int, default=8)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("sl", help="finite-difference eigensolver tables")
-    _common_flags(p)
+    _common_flags(p, tol=True)
     p.add_argument("--k", type=int, help="number of levels (default: bound count)")
     p.set_defaults(func=cmd_sl)
 
@@ -479,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, action="append",
-                   default=None)
+                   help="repeatable; default: 1.0, or 0.5 and 1.0 for --probe")
     p.add_argument("--periods", type=int,
                    help="default: 3 for trajectories, 100 for --probe")
     p.add_argument("--steps-per-period", type=int, default=10_000)
@@ -489,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
-    _common_flags(p)
+    _common_flags(p, tol=True)
     for name in verification.ALL_CHECKS:
         p.add_argument(f"--{name}", action="store_true",
                        help=f"run only the {name} checks (combinable)")
@@ -517,8 +483,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(
         _bind_negative_lambdas(sys.argv[1:] if argv is None else argv))
-    if getattr(args, "amplitude", None) is None and args.command == "classical":
-        args.amplitude = [0.5, 1.0] if args.probe else [1.0]
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

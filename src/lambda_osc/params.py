@@ -90,12 +90,8 @@ def classify(lam) -> DeformationParam:
         return DeformationParam(
             lam=lam, sign_class=SIGN_POSITIVE, cutoff=cutoff, n_max=n_max
         )
-    if isinstance(lam, (Fraction, int)):
-        half_width = 1.0 / math.sqrt(float(-lam))
-    else:
-        half_width = 1.0 / math.sqrt(-lam)
     return DeformationParam(
-        lam=lam, sign_class=SIGN_NEGATIVE, half_width=half_width
+        lam=lam, sign_class=SIGN_NEGATIVE, half_width=1.0 / math.sqrt(-lam)
     )
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEME_THETA = "gauss_legendre_theta"
-SCHEME_U_TRUNCATED = "gauss_legendre_u_truncated"
+# smallest relative tolerance double-precision node doubling can meet
+RTOL_FLOOR = 1e-14
 
 _NODE_CACHE: dict[int, tuple] = {}
 
@@ -40,18 +40,22 @@ class DivergentTailError(ValueError):
     """The transformed integrand fails to decay toward the truncation edge."""
 
 
+def check_rtol(rtol: float) -> None:
+    if rtol < RTOL_FLOOR:
+        raise ValueError("tolerance below attainable floating-point accuracy")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Parameters of one measure integral.
 
-    ``half_width`` is the truncation half-width U of the flattening
-    coordinate (ignored for negative deformation, where the interval is
-    fixed by the walls).
+    The sign of ``lam`` picks the change of variable.  ``half_width`` is
+    the truncation half-width U of the flattening coordinate (ignored for
+    negative deformation, where the interval is fixed by the walls).
     """
 
     lam: float
     nodes: int = 32
-    scheme: str = ""
     half_width: float = 0.0
     rtol: float = 1e-10
     node_cap: int = 1 << 15
@@ -59,21 +63,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 8:
             raise ValueError("at least 8 nodes")
-        if self.rtol < 1e-14:
-            raise ValueError("tolerance below attainable floating-point accuracy")
-        scheme = self.scheme or (
-            SCHEME_THETA if self.lam < 0 else SCHEME_U_TRUNCATED
-        )
-        object.__setattr__(self, "scheme", scheme)
-        if scheme == SCHEME_U_TRUNCATED and not self.half_width > 0:
+        check_rtol(self.rtol)
+        if not self.lam < 0 and not self.half_width > 0:
             raise ValueError("positive truncation half-width required")
-
-
-def spec_for(lam: float, half_width: float = 0.0, rtol: float = 1e-10,
-             nodes: int = 32) -> QuadratureSpec:
-    if lam < 0:
-        return QuadratureSpec(lam=lam, nodes=nodes, rtol=rtol)
-    return QuadratureSpec(lam=lam, nodes=nodes, half_width=half_width, rtol=rtol)
 
 
 def overlap_halfwidth(lam: float, degree: int, tail_tol: float = 1e-14) -> float:
@@ -186,7 +178,8 @@ def integrate_measure(f, spec: QuadratureSpec) -> float:
     to decay, and NonConvergenceError when node doubling exhausts the cap.
     """
     lam = float(spec.lam)
-    if spec.scheme == SCHEME_THETA:
+    walls = lam < 0
+    if walls:
         root = math.sqrt(-lam)
         half_len = math.pi / 2.0
 
@@ -209,7 +202,7 @@ def integrate_measure(f, spec: QuadratureSpec) -> float:
     while True:
         est, est_abs, edge = _estimate(transformed, half_len, n)
         scale = max(est_abs, 1e-300)
-        if spec.scheme == SCHEME_U_TRUNCATED and edge * half_len > 1e3 * spec.rtol * scale:
+        if not walls and edge * half_len > 1e3 * spec.rtol * scale:
             raise DivergentTailError(
                 f"integrand does not decay at the truncation edge "
                 f"(edge value {edge:.3e} vs integral scale {scale:.3e})"

@@ -16,13 +16,12 @@ spectrum: it is the cross-validation oracle.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-GRID_CAP_ENV = "LAMBDA_OSC_GRID_CAP"
-DEFAULT_GRID_CAP = 1 << 14
+# largest grid refine() tries before it raises RefinementError
+GRID_CAP = 1 << 14
 
 BOUNDARY_WALLS = "dirichlet_at_walls"
 BOUNDARY_TRUNCATED = "dirichlet_truncated"
@@ -35,16 +34,6 @@ class RefinementError(RuntimeError):
     def __init__(self, message, levels=None):
         super().__init__(message)
         self.levels = levels or []
-
-
-def grid_cap() -> int:
-    raw = os.environ.get(GRID_CAP_ENV)
-    if not raw:
-        return DEFAULT_GRID_CAP
-    cap = int(raw)
-    if cap < 128:
-        raise ValueError(f"{GRID_CAP_ENV} must be at least 128, got {cap}")
-    return cap
 
 
 def potential_u(u, lam: float):
@@ -201,19 +190,17 @@ def refine(
     The error of the second-order scheme expands in even powers of h, so
     each doubling removes another power of four per extrapolation column.
     Stops when two successive deepest extrapolants agree within ``tol``
-    for every requested level; raises RefinementError at the grid cap
-    (env ``LAMBDA_OSC_GRID_CAP``).
+    for every requested level; raises RefinementError past ``GRID_CAP``.
     """
     if tol < 1e-14:
         raise ValueError("tolerance below attainable floating-point accuracy")
     if half_width is None and lam >= 0:
         half_width = default_halfwidth(lam, k, tail_tol=min(1e-12, tol * 1e-3))
-    cap = grid_cap()
     levels: list[RefinementLevel] = []
     table: list[list[np.ndarray]] = []  # triangular Richardson tableau
     n = n0
     prev_best = None
-    while n <= cap:
+    while n <= GRID_CAP:
         raw = eigenvalues(assemble(lam, n, half_width), k)
         row = [raw]
         if table:
@@ -238,7 +225,7 @@ def refine(
         prev_best = best
         n *= 2
     raise RefinementError(
-        f"no convergence to {tol} within the grid cap {cap} "
+        f"no convergence to {tol} within the grid cap {GRID_CAP} "
         f"(last error estimate {levels[-1].error_estimate})",
         levels=levels,
     )

@@ -50,6 +50,12 @@ class CheckResult:
         return d
 
 
+# acceptance deformation sets of the numeric oracles (also CLI defaults)
+SL_LAMBDAS = (-0.3, -0.1, 0.0, 0.15, 0.3)
+GRAM_LAMBDAS = (-0.3, -0.1, 0.1, 0.3)
+CLASSICAL_LAMBDAS = (0.5, -0.5, 0.1, -0.1)
+
+
 def _record(check, parameters, metric, threshold, strict=False):
     ok = metric < threshold if strict else metric <= threshold
     return CheckResult(
@@ -231,7 +237,7 @@ def check_bound_counts() -> list[CheckResult]:
 
 
 def check_sl_crossval(tol: float = 1e-6,
-                      lams=(-0.3, -0.1, 0.0, 0.15, 0.3),
+                      lams=SL_LAMBDAS,
                       m_top: int = 6) -> list[CheckResult]:
     """Refined finite-difference eigenvalues against the closed form."""
     out = []
@@ -259,7 +265,7 @@ def check_sl_crossval(tol: float = 1e-6,
 
 
 def check_gram(tol: float = 1e-8,
-               lams=(-0.3, -0.1, 0.1, 0.3), m_cap: int = 8) -> list[CheckResult]:
+               lams=GRAM_LAMBDAS, m_cap: int = 8) -> list[CheckResult]:
     """Normalized orthogonality of all bound pairs up to an index cap."""
     out = []
     for lam in lams:
@@ -400,7 +406,7 @@ def check_eigen_equation(tol: float = 1e-9,
 
 
 def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
-                    lams=(0.5, -0.5, 0.1, -0.1),
+                    lams=CLASSICAL_LAMBDAS,
                     amplitudes=(0.5, 1.0),
                     n_periods: int = 100,
                     steps_per_period: int = 10_000) -> list[CheckResult]:

@@ -82,10 +82,7 @@ class WaveFunction:
 
     def poly_values(self, y):
         if self._coeffs is None:
-            if self.poly.generic:
-                self._coeffs = self.poly.float_coeffs(float(self.lam))
-            else:
-                self._coeffs = self.poly.float_coeffs()
+            self._coeffs = self.poly.float_coeffs(self.lam)
         return horner_compensated(self._coeffs, y)
 
     def __call__(self, y):
@@ -112,11 +109,7 @@ def nodes(w: WaveFunction, tol: float = 1e-12) -> list[float]:
     m = w.m
     if m == 0:
         return []
-    cs = (
-        w.poly.float_coeffs(float(w.lam))
-        if w.poly.generic
-        else w.poly.float_coeffs()
-    )
+    cs = w.poly.float_coeffs(w.lam)
 
     def p(y):
         return horner_compensated(cs, y)
@@ -175,13 +168,11 @@ def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:
     if float(w1.lam) != float(w2.lam):
         raise ValueError("deformation values differ")
     lam = float(w1.lam)
-    if lam < 0:
-        spec = quadrature.spec_for(lam, rtol=rtol)
-    else:
-        u = quadrature.overlap_halfwidth(
-            lam, w1.poly.degree + w2.poly.degree, tail_tol=min(rtol, 1e-12) * 1e-2
-        )
-        spec = quadrature.spec_for(lam, half_width=u, rtol=rtol)
+    quadrature.check_rtol(rtol)  # before the tail bound takes its log
+    u = quadrature.overlap_halfwidth(
+        lam, w1.poly.degree + w2.poly.degree, tail_tol=min(rtol, 1e-12) * 1e-2
+    )
+    spec = quadrature.QuadratureSpec(lam=lam, half_width=u, rtol=rtol)
     return quadrature.integrate_measure(lambda y: w1(y) * w2(y), spec)
 
 

@@ -131,6 +131,16 @@ class TestPeriodMeasurement:
                                steps_per_period=10_000)
         assert probe.period == pytest.approx(2 * math.pi, rel=1e-7)
 
+    def test_crossings_are_interpolated(self):
+        # at lam = 0 the leapfrog's own period is pi*h/asin(h/2); 37 steps
+        # per period do not divide it, so the step time of each upward
+        # crossing is off by up to a step and only interpolation recovers it
+        h = 2 * math.pi / 37
+        probe = measure_period(1.0, 0.0, 1.0, n_periods=30,
+                               steps_per_period=37)
+        assert probe.period == pytest.approx(math.pi * h / math.asin(h / 2),
+                                             rel=1e-5)
+
     def test_wall_exit_carries_time(self):
         # a coarse step at lam*A^2 = -0.98 leaves the domain on step one
         with pytest.raises(DomainExitError) as err:

@@ -218,12 +218,24 @@ class TestSlCommand:
 class TestZeroTolerance:
     # --tol 0 is passed on (not replaced by the default) and refused
     @pytest.mark.parametrize("argv", [["sl", "--lambda", "0.3", "--tol", "0"],
-                                      ["gram", "--tol", "0"]])
+                                      ["gram", "--tol", "0"],
+                                      ["gram", "--lambda", "0.3", "--tol", "0"]])
     def test_refused(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "attainable" in err
+
+
+class TestTolFlag:
+    # only the commands that run a tolerance-controlled oracle take --tol
+    @pytest.mark.parametrize("command", ["spectrum", "potential", "polys",
+                                         "wavefn", "ladder", "classical"])
+    def test_refused_where_unread(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 class TestClassicalCommand:

@@ -162,7 +162,8 @@ class TestAdjointness:
     def test_weak_adjointness_under_the_measure(self, lam):
         # <raise f, g> = <f, lower g> against the invariant measure, on
         # decaying family members (checked weakly, by quadrature)
-        from lambda_osc.quadrature import integrate_measure, overlap_halfwidth, spec_for
+        from lambda_osc.quadrature import (QuadratureSpec, integrate_measure,
+                                           overlap_halfwidth)
 
         envelope_s = -1 / (2 * lam)
         pairs = [
@@ -176,9 +177,9 @@ class TestAdjointness:
                 deg = max(af.poly.degree + g.poly.degree,
                           f.poly.degree + ag.poly.degree)
                 u = overlap_halfwidth(float(lam), deg)
-                spec = spec_for(float(lam), half_width=u)
+                spec = QuadratureSpec(lam=float(lam), half_width=u)
             else:
-                spec = spec_for(float(lam))
+                spec = QuadratureSpec(lam=float(lam))
             lhs = integrate_measure(lambda y: af(y) * g(y), spec)
             rhs = integrate_measure(lambda y: f(y) * ag(y), spec)
             scale = max(abs(lhs), abs(rhs), 1.0)

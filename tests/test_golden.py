@@ -27,6 +27,7 @@ CASES = [
      ["polys", "--lambda=-3/7", "--nmax", "12", "--ratios"]),
     ("ladder.csv", ["ladder"]),
     ("ladder_m1_10_nmax12.csv", ["ladder", "--lambda=-1/10", "--nmax", "12"]),
+    ("ladder.json", ["ladder", "--format", "json"]),
 ]
 
 

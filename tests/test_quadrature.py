@@ -7,14 +7,11 @@ from lambda_osc.quadrature import (
     DivergentTailError,
     NonConvergenceError,
     QuadratureSpec,
-    SCHEME_THETA,
-    SCHEME_U_TRUNCATED,
     _leggauss,
     integrate_measure,
     measure_total,
     overlap_halfwidth,
     sl_weights,
-    spec_for,
 )
 from lambda_osc.wavefunctions import mu_inner, wavefunction
 
@@ -23,12 +20,14 @@ class TestMeasureIntegration:
     def test_total_measure_negative_unit(self):
         # the substitution flattens the measure exactly: the interval has
         # length pi and the scale is 1/sqrt(|lam|)
-        got = integrate_measure(lambda y: np.ones_like(y), spec_for(-1.0))
+        got = integrate_measure(lambda y: np.ones_like(y),
+                                QuadratureSpec(lam=-1.0))
         assert got == pytest.approx(math.pi, rel=1e-14)
         assert measure_total(-1.0) == pytest.approx(math.pi)
 
     def test_total_measure_scales(self):
-        got = integrate_measure(lambda y: np.ones_like(y), spec_for(-0.25))
+        got = integrate_measure(lambda y: np.ones_like(y),
+                                QuadratureSpec(lam=-0.25))
         assert got == pytest.approx(2.0 * math.pi, rel=1e-14)
 
     def test_odd_integrand_cancels_exactly(self):
@@ -37,7 +36,7 @@ class TestMeasureIntegration:
         # exact zero (y*y*y rather than y**3: numpy's pow is not
         # bit-symmetric under negation)
         for lam in (-0.5, 0.0, 0.7):
-            spec = spec_for(lam, half_width=8.0)
+            spec = QuadratureSpec(lam=lam, half_width=8.0)
             f = lambda y: y * y * y * np.exp(-y * y)
             assert integrate_measure(f, spec) == 0.0
 
@@ -50,7 +49,7 @@ class TestMeasureIntegration:
             assert mu_inner(w1, w2) == 0.0
 
     def test_gaussian_flat_measure(self):
-        spec = spec_for(0.0, half_width=10.0)
+        spec = QuadratureSpec(lam=0.0, half_width=10.0)
         got = integrate_measure(lambda y: np.exp(-y * y), spec)
         assert got == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
@@ -102,11 +101,12 @@ class TestMeasureIntegration:
         f = lambda y: w1(y) * w3(y)
         u = overlap_halfwidth(lam, 4, tail_tol=1e-16)
         vals = [
-            integrate_measure(f, spec_for(lam, half_width=c * u))
+            integrate_measure(f, QuadratureSpec(lam=lam, half_width=c * u))
             for c in (1.0, 2.0)
         ]
         assert abs(vals[0] - vals[1]) < 1e-10 * abs(
-            integrate_measure(lambda y: w1(y) ** 2, spec_for(lam, half_width=u))
+            integrate_measure(lambda y: w1(y) ** 2,
+                              QuadratureSpec(lam=lam, half_width=u))
         )
 
     @pytest.mark.parametrize(
@@ -125,12 +125,12 @@ class TestMeasureIntegration:
         for m, n in pairs:
             f = lambda y: ws[m](y) * ws[n](y)
             u = overlap_halfwidth(lam, m + n, tail_tol=1e-16)
-            a = integrate_measure(f, spec_for(lam, half_width=u))
-            b = integrate_measure(f, spec_for(lam, half_width=2 * u))
+            a = integrate_measure(f, QuadratureSpec(lam=lam, half_width=u))
+            b = integrate_measure(f, QuadratureSpec(lam=lam, half_width=2 * u))
             assert abs(a - b) <= 1e-9 * max(abs(a), norm0)
 
     def test_divergent_tail_detected(self):
-        spec = spec_for(0.3, half_width=30.0)
+        spec = QuadratureSpec(lam=0.3, half_width=30.0)
         with pytest.raises(DivergentTailError):
             integrate_measure(lambda y: np.ones_like(y), spec)
 
@@ -148,8 +148,8 @@ class TestMeasureIntegration:
         assert err.value.previous is not None
 
     def test_scheme_selection(self):
-        assert spec_for(-0.1).scheme == SCHEME_THETA
-        assert spec_for(0.1, half_width=5.0).scheme == SCHEME_U_TRUNCATED
+        # the walls fix the interval, so only lam >= 0 needs a half-width
+        assert QuadratureSpec(lam=-0.1).half_width == 0.0
         with pytest.raises(ValueError):
             QuadratureSpec(lam=0.1, half_width=0.0)
         with pytest.raises(ValueError):

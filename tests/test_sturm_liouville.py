@@ -5,7 +5,7 @@ import pytest
 
 from lambda_osc.spectrum import energy
 from lambda_osc.sturm_liouville import (
-    GRID_CAP_ENV,
+    GRID_CAP,
     RefinementError,
     assemble,
     continuum_threshold,
@@ -14,7 +14,6 @@ from lambda_osc.sturm_liouville import (
     default_halfwidth,
     eigenpairs,
     eigenvalues,
-    grid_cap,
     potential_u,
     refine,
     vector_node_count,
@@ -119,15 +118,12 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refine(0.3, 2, tol=1e-15)
 
-    def test_grid_cap_env(self, monkeypatch):
-        monkeypatch.setenv(GRID_CAP_ENV, "256")
-        assert grid_cap() == 256
+    def test_grid_cap(self):
+        # 1e-13 is out of reach, so refinement runs to the cap and reports
+        # every level it tried
         with pytest.raises(RefinementError) as err:
-            refine(-0.3, 3, tol=1e-10, n0=128)
-        assert err.value.levels
-        monkeypatch.setenv(GRID_CAP_ENV, "64")
-        with pytest.raises(ValueError):
-            grid_cap()
+            refine(-0.3, 3, tol=1e-13)
+        assert err.value.levels[-1].n == GRID_CAP
 
     def test_convergence_table_rows(self):
         rows = convergence_table(-0.3, 2, (128, 256, 512))
