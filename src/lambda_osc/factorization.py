@@ -153,10 +153,7 @@ def hamiltonian_diff_form(f: LadderFunction, b=1) -> LadderFunction:
     df = f.differentiate()
     ddf = df.differentiate()
     kinetic = ddf.times_z_power(1) + df.times_y().scale(lam)
-    if lam == 0:
-        ysq = f.times_poly(LambdaPoly((0, 0, 1), lam=Fraction(0)))
-    else:
-        ysq = f.times_y().times_y().times_z_power(-1)
+    ysq = f.times_y().times_y().times_z_power(-1)
     return (
         kinetic.scale(Fraction(-1, 2))
         + ysq.scale(b * (b + lam) / 2)
@@ -174,11 +171,8 @@ def partner_relation_residual(f: LadderFunction, b=1) -> LadderFunction:
     Hamiltonian is NOT a constant shift of the factorized one away from
     zero deformation.
     """
-    lam = f.lam
     b = Fraction(b)
     comm = hamiltonian_chain_partner(f, b) - hamiltonian_chain(f, b)
-    if lam == 0:
-        return comm - f.scale(b)
     return comm - f.times_z_power(-1).scale(b)
 
 
@@ -283,9 +277,7 @@ def commutator_via_operators(x, params: PhysicalParams,
         raise ValueError("test function deformation value disagrees")
     beta = float(params.beta)  # y = sqrt(beta) x
     y = float(x) * beta**0.5
-    comm = apply(lowering(lam, 1), apply(raising(lam, 1), g)) - apply(
-        raising(lam, 1), apply(lowering(lam, 1), g)
-    )
+    comm = (hamiltonian_chain_partner(g) - hamiltonian_chain(g)).scale(2)
     gy = g(y)
     if gy == 0:
         raise ValueError("test function vanishes at the sample point")

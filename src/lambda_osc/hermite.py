@@ -17,6 +17,7 @@ spectrum and wavefunction modules; the others are related to it by the
 scalars ``proportionality`` recovers.
 """
 
+import math
 from fractions import Fraction
 
 from .exact import LamPoly, exact_rational, simplify_ratio
@@ -103,21 +104,13 @@ def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
     weights = [one]  # w_k * k!-free: product of (1 - j*lam) over j < k, / k!
     for k in range(1, n_max + 1):
         weights.append(weights[-1] * (one - L * (k - 1)) * Fraction(1, k))
-    fact = [1] * (n_max + 1)
-    for k in range(2, n_max + 1):
-        fact[k] = fact[k - 1] * k
-    binom = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    for k in range(n_max + 1):
-        binom[k][0] = 1
-        for i in range(1, k + 1):
-            binom[k][i] = binom[k - 1][i - 1] + (
-                binom[k - 1][i] if i <= k - 1 else 0
-            )
     for n in range(n_max + 1):
         coeffs = [ring_elem(0, lam)] * (n + 1)
         for k in range((n + 1) // 2, n + 1):
             i = n - k  # power of (-t^2) drawn from (2ty - t^2)^k
-            c = weights[k] * (binom[k][i] * (-1) ** i * 2 ** (k - i) * fact[n])
+            c = weights[k] * (
+                math.comb(k, i) * (-1) ** i * 2 ** (k - i) * math.factorial(n)
+            )
             coeffs[k - i] = coeffs[k - i] + c
         out.append(
             LambdaPoly(coeffs, lam=lam, normalization=NORM_GENERATING, n=n)

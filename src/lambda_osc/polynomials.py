@@ -241,7 +241,7 @@ def horner_compensated(coeffs, y):
     """Compensated Horner scheme (error-free transformations).
 
     Achieves close to twice working precision for the polynomial value,
-    which matters when locating nodes near the domain edge.  ``coeffs``
+    which matters for wavefunction values near the domain edge.  ``coeffs``
     is ascending by power; ``y`` may be a scalar or an ndarray.
     """
     y = np.asarray(y, dtype=float)
@@ -334,12 +334,7 @@ class LadderFunction:
 
     def times_z_power(self, k):
         """Multiply by z^k for rational k (no-op at lam = 0 where z = 1)."""
-        if self.lam == 0 or self.is_zero():
-            return self
         return LadderFunction(self.lam, self.s + Fraction(k), self.poly)
-
-    def times_poly(self, poly: LambdaPoly):
-        return LadderFunction(self.lam, self.s, self.poly * poly)
 
     def times_y(self):
         return LadderFunction(self.lam, self.s, self.poly.shift_y())
@@ -356,8 +351,6 @@ class LadderFunction:
             return other
         if other.is_zero():
             return self
-        if self.lam == 0:
-            return LadderFunction(0, 0, self.poly + other.poly)
         d = self.s - other.s
         if d.denominator != 1:
             raise ValueError(

@@ -103,59 +103,25 @@ def evaluate(w: WaveFunction, y: float) -> float:
     return float(w(np.asarray(y, dtype=float)))
 
 
-def nodes(w: WaveFunction, tol: float = 1e-12) -> list[float]:
-    """The m simple zeros of the polynomial factor, symmetric under
-    negation, located by bisection on sign changes."""
-    m = w.m
-    if m == 0:
-        return []
-    cs = w.poly.float_coeffs(w.lam)
+def nodes(w: WaveFunction) -> list[float]:
+    """The m simple zeros of the polynomial factor, ascending and
+    symmetric under negation (an odd index has exactly 0.0 at the centre).
 
-    def p(y):
-        return horner_compensated(cs, y)
-
-    # positive roots; odd index contributes the origin
-    want = m // 2
-    out = [0.0] if m % 2 else []
-    if want == 0:
-        return out
-    if w.half_width is not None:
-        hi = w.half_width * (1 - 1e-13)
-    else:
-        # Cauchy bound on root magnitude
-        lead = cs[-1]
-        hi = 1.0 + max(abs(c / lead) for c in cs[:-1])
-    grid_n = 1 << 12
-    found = []
-    while True:
-        ys = np.linspace(0.0, hi, grid_n)
-        vals = p(ys)
-        sign = np.sign(vals)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        found = []
-        for i in idx:
-            a, b = ys[i], ys[i + 1]
-            fa = p(a)
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = p(mid)
-                if fm == 0.0 or (b - a) < tol:
-                    a = b = mid
-                    break
-                if (fa < 0) == (fm < 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            found.append(0.5 * (a + b))
-        if len(found) >= want or grid_n >= (1 << 16):
-            break
-        grid_n *= 4
-    if len(found) != want:
-        raise RuntimeError(
-            f"expected {want} positive zeros for index {m}, found {len(found)}"
-        )
-    roots = sorted(found)
-    return sorted([-r for r in roots] + out + roots)
+    They are the eigenvalues of the Jacobi matrix of the three-term
+    recursion ``hermite.three_term_next`` made monic (Golub & Welsch,
+    Math. Comp. 23 (1969) 221): zero diagonal, off-diagonal sqrt(beta_n)
+    with beta_n = n(2 - (n-1) lam) / (4 (1 - n lam)(1 - (n-1) lam)),
+    positive at every index the constructor admits.  These are the zeros
+    of the index-m family member at float(w.lam); the constructors
+    (``wavefunction``, ``factorization.build_state``) only make
+    polynomials proportional to it.
+    """
+    lam, n = float(w.lam), np.arange(1, w.m)
+    beta = n * (2 - (n - 1) * lam) / (4 * (1 - n * lam) * (1 - (n - 1) * lam))
+    jacobi = np.zeros((w.m, w.m))
+    jacobi[n, n - 1] = np.sqrt(beta)
+    x = np.linalg.eigvalsh(jacobi)
+    return ((x - x[::-1]) / 2).tolist()
 
 
 def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lambda_osc.hermite import generating_coeffs
 from lambda_osc.wavefunctions import (
     WaveFunction,
     eigen_equation_residual,
@@ -113,6 +114,24 @@ class TestNodes:
         for r in nodes(w):
             left, right = w.poly_values(r - 1e-7), w.poly_values(r + 1e-7)
             assert left * right < 0
+
+    @pytest.mark.parametrize(
+        "lam, m",
+        [("0", 15), ("0", 40), ("1/20", 19), ("1/100000", 40), ("-9/10", 60)],
+    )
+    def test_high_index_zeros_are_exact_sign_changes(self, lam, m):
+        # high indices at both signs and near zero deformation: each
+        # returned zero must bracket a sign change of the exact member
+        lam = Fraction(lam)
+        ns = nodes(wavefunction(m, float(lam)))
+        assert len(ns) == m
+        assert all(a < b for a, b in zip(ns, ns[1:]))
+        if lam < 0:
+            assert all(abs(x) < 1 / math.sqrt(-lam) for x in ns)
+        poly = generating_coeffs(m, lam)[m]
+        for r in ns:
+            r, eps = Fraction(r), Fraction(max(abs(r), 1) * 1e-12)
+            assert poly.evaluate_exact(r - eps) * poly.evaluate_exact(r + eps) < 0
 
 
 class TestInnerProducts:
