@@ -10,10 +10,10 @@ A change of variable flattens the measure exactly in both regimes:
   half-width chosen from the integrand's analytic decay rate;
 * zero deformation: the measure is already flat.
 
-Gauss-Legendre on the transformed interval, with node doubling until
-two successive estimates agree.  Nodes are applied in symmetric pairs,
-so integrands that are odd in exact arithmetic cancel exactly in
-floating point as well.
+Gauss-Legendre on the transformed interval, each rule from the
+tridiagonal Jacobi matrix in O(n) memory, with node doubling until two
+successive estimates agree.  Nodes are applied in symmetric pairs, so
+integrands odd in exact arithmetic cancel exactly in floating point too.
 """
 
 import math
@@ -101,23 +101,23 @@ def overlap_halfwidth(lam: float, degree: int, tail_tol: float = 1e-14) -> float
 
 def _leggauss(n: int):
     """Gauss-Legendre nodes and weights on (-1, 1), bit for bit those of
-    ``numpy.polynomial.legendre.leggauss(n)``, at half its peak memory.
+    ``numpy.polynomial.legendre.leggauss(n)``, in O(n) memory.
 
-    leggauss hands its dense n x n companion matrix (32 MB at 2048 nodes)
-    to numpy's eigvalsh, which copies it before calling LAPACK; scipy's
-    eigvalsh runs the same LAPACK routine on the matrix in place.  The
-    Newton polish and the weights are leggauss's own steps.
+    leggauss eigensolves the dense n x n companion matrix (32 MB at 2048
+    nodes), which is the Legendre recursion's tridiagonal Jacobi matrix
+    (Golub & Welsch 1969); LAPACK's sterf needs only its off-diagonal,
+    rounded as legcompanion rounds it.  Newton step and weights as leggauss.
     """
     # scipy.linalg is imported on first use, as in sturm_liouville
-    from scipy.linalg import eigvalsh
+    from scipy.linalg import eigvalsh_tridiagonal
 
     leg = np.polynomial.legendre
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    # the companion matrix is symmetric, so its transpose is the same
-    # matrix in the Fortran order LAPACK overwrites without a copy
-    x = eigvalsh(leg.legcompanion(c).T, overwrite_a=True, check_finite=False,
-                 driver="evd")
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf",
+                             check_finite=False)
     # improve the roots by one Newton step
     dy = leg.legval(x, c)
     df = leg.legval(x, leg.legder(c))

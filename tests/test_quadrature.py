@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,12 +166,26 @@ class TestMeasureIntegration:
 class TestRule:
     @pytest.mark.parametrize("n", [*range(8, 40), 64, 128, 256, 512, 1024, 2048])
     def test_rule_is_numpy_leggauss_bit_for_bit(self, n):
-        # solving in place must not move a single bit of any node or
+        # the tridiagonal solve must not move a single bit of any node or
         # weight, so every integral keeps its value
         x0, w0 = np.polynomial.legendre.leggauss(n)
         x1, w1 = _leggauss(n)
         assert np.array_equal(x0, x1)
         assert np.array_equal(w0, w1)
+
+    def test_rule_memory_is_linear_in_nodes(self):
+        # the tridiagonal solve keeps O(n) arrays; the dense companion
+        # matrix alone would be 134 MB at 4096 nodes
+        import scipy.linalg  # noqa: F401  (its import allocates too)
+
+        _leggauss(16)
+        tracemalloc.start()
+        try:
+            _leggauss(4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSelfAdjointWeights:

@@ -152,11 +152,13 @@ class TestInnerProducts:
         # normalizing makes the self-inner-product one
         assert c1 * c1 * mu_inner(w, w) == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("lam", [-0.3, -0.1, 0.1, 0.3])
+    # 1/2.1 and 1/5.3 sit near the continuum threshold and need the
+    # 4096-node rule
+    @pytest.mark.parametrize("lam", [-0.3, -0.1, 0.1, 0.3, 1 / 2.1, 1 / 5.3])
     def test_gram_offdiagonals(self, lam):
         g = gram_matrix(lam, max_index=8)
         n = g.shape[0]
-        expected_n = 9 if lam < 0 else (4 if lam == 0.3 else 9)
+        expected_n = {0.3: 4, 1 / 2.1: 3, 1 / 5.3: 6}.get(lam, 9)
         assert n == expected_n
         off = np.abs(g - np.eye(n))
         assert np.max(off) <= 1e-8
