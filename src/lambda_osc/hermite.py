@@ -118,6 +118,13 @@ def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
     return out
 
 
+def recursion_coeffs(n, lam):
+    """(a_n, b_n) = (2(1 - n*lam), n(2 - (n-1)*lam)) of the recursion
+    h_{n+1} = a_n y h_n - b_n h_{n-1} in the generating normalization, for
+    an int or integer-array n and a float, Fraction or LamPoly lam."""
+    return 2 * (1 - lam * n), n * (2 - lam * (n - 1))
+
+
 def three_term_next(h_n: LambdaPoly, h_nm1: LambdaPoly, n: int) -> LambdaPoly:
     """Next generating-normalization polynomial from the last two:
     2y(1 - n*lam) h_n - n(2 - (n-1)*lam) h_{n-1}.
@@ -131,10 +138,9 @@ def three_term_next(h_n: LambdaPoly, h_nm1: LambdaPoly, n: int) -> LambdaPoly:
             )
     if h_n.lam != h_nm1.lam:
         raise ValueError("mixed deformation modes")
-    L = ring_elem(LamPoly.LAM, h_n.lam)
-    term1 = h_n.shift_y().scale(2 * (1 - L * n))
-    term2 = h_nm1.scale(n * (2 - L * (n - 1)))
-    return (term1 - term2).replace(normalization=NORM_GENERATING, n=n + 1)
+    a, b = recursion_coeffs(n, ring_elem(LamPoly.LAM, h_n.lam))
+    out = h_n.shift_y().scale(a) - h_nm1.scale(b)
+    return out.replace(normalization=NORM_GENERATING, n=n + 1)
 
 
 def derivative_relation_check(family: list[LambdaPoly], n: int) -> bool:

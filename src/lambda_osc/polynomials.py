@@ -176,11 +176,12 @@ class LambdaPoly(DensePoly):
         return np.array([float(c) for c in self.coeffs], dtype=float)
 
     def __call__(self, y, lam=None):
-        """Float evaluation by compensated Horner (scalar or ndarray y)."""
+        """Float evaluation by plain Horner on ``float_coeffs`` (scalar or
+        ndarray y); exact values need ``evaluate_exact``."""
         cs = self.float_coeffs(lam)
         if cs.size == 0:
             return np.zeros_like(np.asarray(y, dtype=float)) if np.ndim(y) else 0.0
-        return horner_compensated(cs, y)
+        return np.polynomial.polynomial.polyval(y, cs)
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self):
@@ -212,48 +213,6 @@ class LambdaPoly(DensePoly):
     def __repr__(self):
         tag = "generic" if self.generic else str(self.lam)
         return f"LambdaPoly({str(self)!r}, lam={tag})"
-
-
-# -- compensated Horner -------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    err = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-    return p, err
-
-
-def horner_compensated(coeffs, y):
-    """Compensated Horner scheme (error-free transformations).
-
-    Achieves close to twice working precision for the polynomial value,
-    which matters for wavefunction values near the domain edge.  ``coeffs``
-    is ascending by power; ``y`` may be a scalar or an ndarray.
-    """
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    s = np.full(y.shape, coeffs[-1], dtype=float)
-    comp = np.zeros(y.shape, dtype=float)
-    for c in coeffs[-2::-1]:
-        p, perr = _two_prod(s, y)
-        s, serr = _two_sum(p, c)
-        comp = comp * y + (perr + serr)
-    out = s + comp
-    return float(out) if scalar else out
 
 
 # -- the closed z^s * Q family ------------------------------------------------
@@ -376,13 +335,11 @@ class LadderFunction:
     def __call__(self, y):
         """Float evaluation (scalar or ndarray y)."""
         y = np.asarray(y, dtype=float)
-        pv = self.poly(y) if not self.poly.is_zero() else np.zeros_like(y)
-        lam = float(self.lam)
         if self.lam == 0:
             env = np.exp(-0.5 * y * y)
         else:
-            env = np.exp(float(self.s) * np.log1p(lam * y * y))
-        out = pv * env
+            env = np.exp(float(self.s) * np.log1p(float(self.lam) * y * y))
+        out = self.poly(y) * env
         return float(out) if out.ndim == 0 else out
 
     def __repr__(self):

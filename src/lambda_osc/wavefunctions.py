@@ -1,9 +1,13 @@
 """Eigenfunctions: polynomial factor times the envelope (1+lam*y^2)^(-1/(2 lam)).
 
-Unnormalized functions are the primitive; normalization constants are
-derived by quadrature against the invariant measure and cached on first
-use (the convention is unit measure-norm).  The polynomial factor uses
-the generating-function normalization throughout.
+Unnormalized functions are the primitive; normalization constants come
+from quadrature against the invariant measure (the convention is unit
+measure-norm).  The polynomial factor uses the generating-function
+normalization unless a constructor hands in a proportional one.
+
+Float values run the paper's three-term recursion from psi_0 = envelope:
+no monomial coefficients to cancel, and no overflow in slowly decaying
+tails where the polynomial factor alone is out of float range.
 """
 
 import math
@@ -13,9 +17,9 @@ import numpy as np
 
 from . import quadrature
 from .exact import exact_rational
-from .hermite import generating_coeffs
+from .hermite import NORM_GENERATING, generating_coeffs, recursion_coeffs
 from .params import classify
-from .polynomials import LadderFunction, LambdaPoly, horner_compensated
+from .polynomials import LadderFunction, LambdaPoly
 from .spectrum import energy
 
 # below this the envelope switches to its analytic limit exp(-y^2/2);
@@ -66,7 +70,6 @@ class WaveFunction:
                 poly = generating_coeffs(m)[m]  # generic; evaluated at float lam
         self.poly = poly
         self._coeffs = None
-        self._norm = None
 
     @property
     def half_width(self):
@@ -80,14 +83,33 @@ class WaveFunction:
             return -1 / (2 * Fraction(lam))
         return None if lam == 0 else -1.0 / (2.0 * float(lam))
 
-    def poly_values(self, y):
+    def _recurse(self, y, psi):
+        """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = psi."""
+        y = np.asarray(y, dtype=float)
         if self._coeffs is None:
-            self._coeffs = self.poly.float_coeffs(self.lam)
-        return horner_compensated(self._coeffs, y)
+            a, b = recursion_coeffs(np.arange(self.m), float(self.lam))
+            scale = 1.0
+            if self.poly.normalization != NORM_GENERATING:
+                # leading coefficient over the generating one, prod a_n
+                lead = math.prod(
+                    recursion_coeffs(n, self.poly.lam)[0] for n in range(self.m)
+                )
+                scale = float(self.poly.coefficient(self.m) / lead)
+            self._coeffs = a.tolist(), b.tolist(), scale
+        a, b, scale = self._coeffs
+        prev, psi = 0.0, psi * scale
+        for a_n, b_n in zip(a, b):
+            prev, psi = psi, a_n * y * psi - b_n * prev
+        return psi
+
+    def poly_values(self, y):
+        """Polynomial factor alone (scalar or ndarray)."""
+        seed = np.ones_like(y, dtype=float) if np.ndim(y) else 1.0
+        return self._recurse(y, seed)
 
     def __call__(self, y):
         """Unnormalized value (scalar or ndarray, assumed in-domain)."""
-        return self.poly_values(y) * envelope(y, self.lam)
+        return self._recurse(y, envelope(y, self.lam))
 
 
 def wavefunction(m: int, lam) -> WaveFunction:
@@ -108,18 +130,18 @@ def nodes(w: WaveFunction) -> list[float]:
     symmetric under negation (an odd index has exactly 0.0 at the centre).
 
     They are the eigenvalues of the Jacobi matrix of the three-term
-    recursion ``hermite.three_term_next`` made monic (Golub & Welsch,
-    Math. Comp. 23 (1969) 221): zero diagonal, off-diagonal sqrt(beta_n)
-    with beta_n = n(2 - (n-1) lam) / (4 (1 - n lam)(1 - (n-1) lam)),
-    positive at every index the constructor admits.  These are the zeros
-    of the index-m family member at float(w.lam); the constructors
+    recursion made monic (Golub & Welsch, Math. Comp. 23 (1969) 221):
+    zero diagonal, off-diagonal sqrt(beta_n) with beta_n = b_n / (a_n
+    a_{n-1}) from ``hermite.recursion_coeffs``, i.e.
+    n(2 - (n-1) lam) / (4 (1 - n lam)(1 - (n-1) lam)), positive at every
+    index the constructor admits.  These are the zeros of the index-m
+    family member at float(w.lam); the constructors
     (``wavefunction``, ``factorization.build_state``) only make
     polynomials proportional to it.
     """
-    lam, n = float(w.lam), np.arange(1, w.m)
-    beta = n * (2 - (n - 1) * lam) / (4 * (1 - n * lam) * (1 - (n - 1) * lam))
+    a, b = recursion_coeffs(np.arange(w.m), float(w.lam))
     jacobi = np.zeros((w.m, w.m))
-    jacobi[n, n - 1] = np.sqrt(beta)
+    jacobi[range(1, w.m), range(w.m - 1)] = np.sqrt(b[1:] / (a[1:] * a[:-1]))
     x = np.linalg.eigvalsh(jacobi)
     return ((x - x[::-1]) / 2).tolist()
 
@@ -143,13 +165,8 @@ def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:
 
 
 def norm_constant(w: WaveFunction, rtol: float = 1e-10) -> float:
-    """1/sqrt(<w, w>): multiplying by it makes the measure-norm one.
-
-    Cached after the first quadrature (idempotent single assignment).
-    """
-    if w._norm is None:
-        w._norm = 1.0 / math.sqrt(mu_inner(w, w, rtol=rtol))
-    return w._norm
+    """1/sqrt(<w, w>): multiplying by it makes the measure-norm one."""
+    return 1.0 / math.sqrt(mu_inner(w, w, rtol=rtol))
 
 
 def gram_matrix(lam, max_index: int | None = None, rtol: float = 1e-10):

@@ -9,7 +9,6 @@ from lambda_osc.polynomials import (
     GENERIC,
     LadderFunction,
     LambdaPoly,
-    horner_compensated,
     ring_elem,
 )
 
@@ -144,24 +143,6 @@ class TestLambdaPoly:
         p = LambdaPoly((LamPoly((4, -4)),), lam=GENERIC, n=0)
         assert p.to_json_dict()["lambda"] == "generic"
         assert p.to_json_dict()["coeffs"] == ["4 - 4*L"]
-
-
-class TestCompensatedHorner:
-    def test_matches_exact_on_ill_conditioned_point(self):
-        # p(y) = (y - 1)^8 expanded, evaluated near the root: naive Horner
-        # loses most digits, the compensated scheme stays near exact
-        coeffs = [1, -8, 28, -56, 70, -56, 28, -8, 1][::-1]
-        y = 1.0 + 2.0**-26
-        exact = float((Fraction(y) - 1) ** 8)
-        got = horner_compensated(np.array(coeffs, dtype=float), y)
-        assert got == pytest.approx(exact, rel=1e-10)
-
-    def test_array_and_scalar_agree(self):
-        coeffs = np.array([0.3, -1.2, 0.0, 2.5])
-        ys = np.array([-1.7, 0.0, 0.4, 3.1])
-        arr = horner_compensated(coeffs, ys)
-        for y, v in zip(ys, arr):
-            assert horner_compensated(coeffs, float(y)) == v
 
 
 class TestLadderFunction:

@@ -10,6 +10,7 @@ from lambda_osc.params import PhysicalParams
 from lambda_osc.polynomials import LadderFunction, LambdaPoly
 from lambda_osc.spectrum import energy
 from lambda_osc.verification import _operator_battery
+from lambda_osc.wavefunctions import envelope
 
 
 def family(lam, s, coeffs):
@@ -82,6 +83,23 @@ class TestBuildState:
         ys = np.linspace(0.1, 2.0, 20)
         ratios = st.poly(ys) / rod(ys)
         assert np.max(np.abs(ratios - ratios[0])) <= 1e-12 * abs(ratios[0])
+
+    @pytest.mark.parametrize(
+        "lam, n",
+        [("1/5", 3), ("-3/10", 8), ("1/10", 6), ("0", 4)],
+    )
+    def test_values_match_exact_polynomial(self, lam, n):
+        # float values run the generating-normalization recursion, scaled
+        # by the ladder polynomial's leading coefficient over prod a_n
+        lam = Fraction(lam)
+        st = fac.build_state(n, lam)
+        wall = st.half_width
+        ys = np.linspace(-0.95 * wall, 0.95 * wall, 41) if wall else (
+            np.linspace(-4.0, 4.0, 41)
+        )
+        exact = np.array([float(st.poly.evaluate_exact(Fraction(y))) for y in ys])
+        expect = exact * envelope(ys, lam)
+        assert np.max(np.abs(st(ys) - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_ground_is_envelope_only(self):
         st = fac.build_state(0, Fraction(-1, 2))

@@ -117,6 +117,22 @@ class TestNodes:
 
     @pytest.mark.parametrize(
         "lam, m",
+        [(-0.9, 30), (-0.9, 44), (-0.3, 40), (-0.5, 60), (0.05, 19), (0.0, 30)],
+    )
+    def test_values_between_zeros_match_exact(self, lam, m):
+        # midway between zeros the exact member is as far from zero as it
+        # gets locally; float monomial coefficients cancel there at lam < 0
+        # and high index
+        w = wavefunction(m, lam)
+        ns = nodes(w)
+        mids = [(a + b) / 2 for a, b in zip(ns, ns[1:])]
+        poly = generating_coeffs(m, Fraction(lam))[m]
+        exact = np.array([float(poly.evaluate_exact(Fraction(y))) for y in mids])
+        got = w.poly_values(np.array(mids))
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "lam, m",
         [("0", 15), ("0", 40), ("1/20", 19), ("1/100000", 40), ("-9/10", 60)],
     )
     def test_high_index_zeros_are_exact_sign_changes(self, lam, m):
@@ -143,22 +159,26 @@ class TestInnerProducts:
         with pytest.raises(ValueError):
             mu_inner(wavefunction(0, 0.1), wavefunction(0, 0.2))
 
-    def test_norm_constant_cached(self):
-        w = wavefunction(2, -0.3)
+    def test_norm_constant_ignores_earlier_calls(self):
+        # a coarse call first must not leak into the default-tolerance one
+        w = wavefunction(6, 0.1)
+        norm_constant(w, rtol=1e-2)
         c1 = norm_constant(w)
-        assert w._norm is c1
-        assert norm_constant(w) == c1
+        assert c1 == norm_constant(wavefunction(6, 0.1))
         assert c1 > 0
         # normalizing makes the self-inner-product one
         assert c1 * c1 * mu_inner(w, w) == pytest.approx(1.0, rel=1e-9)
 
-    # 1/2.1 and 1/5.3 sit near the continuum threshold and need the
-    # 4096-node rule
-    @pytest.mark.parametrize("lam", [-0.3, -0.1, 0.1, 0.3, 1 / 2.1, 1 / 5.3])
+    # 1/2.1, 1/4.1, 1/5.3 and 1/8.25 sit near the continuum threshold and
+    # need rules of 4096 to 8192 nodes; at 1/4.1 the outer nodes reach
+    # |y| ~ 1e93, where the polynomial factor alone overflows
+    @pytest.mark.parametrize(
+        "lam", [-0.3, -0.1, 0.1, 0.3, 1 / 2.1, 1 / 4.1, 1 / 5.3, 1 / 8.25]
+    )
     def test_gram_offdiagonals(self, lam):
         g = gram_matrix(lam, max_index=8)
         n = g.shape[0]
-        expected_n = {0.3: 4, 1 / 2.1: 3, 1 / 5.3: 6}.get(lam, 9)
+        expected_n = {0.3: 4, 1 / 2.1: 3, 1 / 4.1: 5, 1 / 5.3: 6}.get(lam, 9)
         assert n == expected_n
         off = np.abs(g - np.eye(n))
         assert np.max(off) <= 1e-8
