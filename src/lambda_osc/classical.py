@@ -33,6 +33,10 @@ class DomainExitError(RuntimeError):
         super().__init__(f"trajectory left the domain at t = {time}")
         self.time = time
 
+    def __reduce__(self):
+        # rebuild from the time: args hold the formatted message
+        return type(self), (self.time,)
+
 
 @dataclass(frozen=True)
 class ClassicalState:

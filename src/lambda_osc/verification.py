@@ -10,9 +10,17 @@ The reference polynomial tables are built from literal coefficients (the
 published constants k_i and g_i with their bracket polynomials), not
 from any construction route, so they are independent oracles for all
 three routes.
+
+The classical period probes are independent trajectories, so
+``check_classical`` fans them out over the CPUs this process may use,
+in forked worker processes.  Each worker runs the same stepper on the
+same inputs and the probes are collected in submission order, so the
+records are the same as from one process, bit for bit.
 """
 
+import functools
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -405,30 +413,53 @@ def check_eigen_equation(tol: float = 1e-9,
     return out
 
 
+def _probe(case, n_periods, steps_per_period):
+    """One (lambda, amplitude) period probe; module level so a worker
+    process can unpickle it."""
+    lam, amp = case
+    return classical.measure_period(1.0, lam, amp, n_periods=n_periods,
+                                    steps_per_period=steps_per_period)
+
+
 def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
                     lams=CLASSICAL_LAMBDAS,
                     amplitudes=(0.5, 1.0),
                     n_periods: int = 100,
                     steps_per_period: int = 10_000) -> list[CheckResult]:
-    """Measured period against the amplitude-frequency law, plus drift."""
+    """Measured period against the amplitude-frequency law, plus drift.
+
+    The probes are independent, so they run in forked worker processes,
+    one per usable CPU, and come back in submission order.
+    """
+    cases = [(lam, amp) for lam in lams for amp in amplitudes]
+    run = functools.partial(_probe, n_periods=n_periods,
+                            steps_per_period=steps_per_period)
+    workers = min(len(os.sched_getaffinity(0)), len(cases))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: spawn would re-import numpy in each worker, and
+        # a worker runs only the pure-Python stepper, never BLAS, so the
+        # OpenBLAS threads alive at the fork hold nothing it needs
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            probes = list(pool.map(run, cases))
+    else:
+        probes = list(map(run, cases))
     out = []
-    for lam in lams:
-        for amp in amplitudes:
-            probe = classical.measure_period(
-                1.0, lam, amp, n_periods=n_periods,
-                steps_per_period=steps_per_period,
-            )
-            expected = classical.OrbitParams.from_amplitude(amp, 1.0, lam).period
-            rel = abs(probe.period - expected) / expected
-            out.append(
-                _record("classical_period", {"lambda": lam, "amplitude": amp},
-                        rel, period_tol)
-            )
-            out.append(
-                _record("classical_energy_drift",
-                        {"lambda": lam, "amplitude": amp},
-                        probe.max_rel_energy_drift, drift_tol)
-            )
+    for (lam, amp), probe in zip(cases, probes):
+        expected = classical.OrbitParams.from_amplitude(amp, 1.0, lam).period
+        rel = abs(probe.period - expected) / expected
+        out.append(
+            _record("classical_period", {"lambda": lam, "amplitude": amp},
+                    rel, period_tol)
+        )
+        out.append(
+            _record("classical_energy_drift",
+                    {"lambda": lam, "amplitude": amp},
+                    probe.max_rel_energy_drift, drift_tol)
+        )
     return out
 
 

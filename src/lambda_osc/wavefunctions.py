@@ -63,13 +63,20 @@ class WaveFunction:
         self.m = m
         self.lam = lam
         self.deformation = dp
-        if poly is None:
-            if isinstance(lam, (Fraction, int)):
-                poly = generating_coeffs(m, Fraction(lam))[m]
-            else:
-                poly = generating_coeffs(m)[m]  # generic; evaluated at float lam
-        self.poly = poly
+        self._poly = poly
         self._coeffs = None
+
+    @property
+    def poly(self) -> LambdaPoly:
+        """The polynomial factor; the generating-normalization default is
+        built on first read, since evaluation only needs the recursion."""
+        if self._poly is None:
+            m, lam = self.m, self.lam
+            if isinstance(lam, (Fraction, int)):
+                self._poly = generating_coeffs(m, Fraction(lam))[m]
+            else:  # generic; evaluated at float lam
+                self._poly = generating_coeffs(m)[m]
+        return self._poly
 
     @property
     def half_width(self):
@@ -89,12 +96,13 @@ class WaveFunction:
         if self._coeffs is None:
             a, b = recursion_coeffs(np.arange(self.m), float(self.lam))
             scale = 1.0
-            if self.poly.normalization != NORM_GENERATING:
+            poly = self._poly
+            if poly is not None and poly.normalization != NORM_GENERATING:
                 # leading coefficient over the generating one, prod a_n
                 lead = math.prod(
-                    recursion_coeffs(n, self.poly.lam)[0] for n in range(self.m)
+                    recursion_coeffs(n, poly.lam)[0] for n in range(self.m)
                 )
-                scale = float(self.poly.coefficient(self.m) / lead)
+                scale = float(poly.coefficient(self.m) / lead)
             self._coeffs = a.tolist(), b.tolist(), scale
         a, b, scale = self._coeffs
         prev, psi = 0.0, psi * scale
@@ -151,14 +159,14 @@ def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:
 
     For positive deformation both indices must be normalizable, which
     the constructor already enforces; the truncation half-width comes
-    from the combined polynomial degree.
+    from the combined polynomial degree, the sum of the indices.
     """
     if float(w1.lam) != float(w2.lam):
         raise ValueError("deformation values differ")
     lam = float(w1.lam)
     quadrature.check_rtol(rtol)  # before the tail bound takes its log
     u = quadrature.overlap_halfwidth(
-        lam, w1.poly.degree + w2.poly.degree, tail_tol=min(rtol, 1e-12) * 1e-2
+        lam, w1.m + w2.m, tail_tol=min(rtol, 1e-12) * 1e-2
     )
     spec = quadrature.QuadratureSpec(lam=lam, half_width=u, rtol=rtol)
     return quadrature.integrate_measure(lambda y: w1(y) * w2(y), spec)

@@ -1,5 +1,7 @@
 import inspect
 import math
+import os
+import pickle
 
 import pytest
 
@@ -147,6 +149,12 @@ class TestPeriodMeasurement:
             measure_period(1.0, -0.5, 1.4, n_periods=2, steps_per_period=4)
         assert err.value.time == pytest.approx(0.2221441469, abs=1e-10)
 
+    def test_wall_exit_error_pickles_from_its_time(self):
+        # a worker process sends the error back pickled
+        err = pickle.loads(pickle.dumps(DomainExitError(1.5)))
+        assert str(err) == "trajectory left the domain at t = 1.5"
+        assert err.time == 1.5
+
 
 class TestSharedStepper:
     @pytest.mark.parametrize("lam", [0.5, -0.5, 0.0])
@@ -189,3 +197,50 @@ class TestSharedStepper:
         for t, x, _v, e in rows:
             assert abs(x - orbit.x_of_t(t)) <= 1e-4 * orbit.amplitude
             assert abs(e - e0) <= 1e-6 * e0
+
+
+class TestPooledProbes:
+    """check_classical maps its probes over forked workers, one per CPU."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def _count_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    def test_pool_matches_in_process_records(self, monkeypatch):
+        self._cpus(monkeypatch, 1)
+        serial = check_classical(n_periods=3)
+        self._cpus(monkeypatch, 2)
+        forks = self._count_forks(monkeypatch)
+        pooled = check_classical(n_periods=3)
+        assert len(forks) == 2
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+        assert len(pooled) == 16
+
+    def test_one_cpu_starts_no_process(self, monkeypatch):
+        self._cpus(monkeypatch, 1)
+        forks = self._count_forks(monkeypatch)
+        assert len(check_classical(n_periods=3)) == 16
+        assert forks == []
+
+    def test_wall_exit_reaches_the_caller(self, monkeypatch):
+        # the first probe leaves the domain in a worker; the error comes
+        # back with its time, and its message is not formatted twice
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(DomainExitError) as err:
+            check_classical(lams=(-0.5,), amplitudes=(1.4, 0.5), n_periods=2,
+                            steps_per_period=4)
+        assert err.value.time == 0.222144146907919
+        assert str(err.value) == (
+            "trajectory left the domain at t = 0.222144146907919")

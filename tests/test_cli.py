@@ -168,11 +168,13 @@ class TestImport:
         # a fresh interpreter, so no other test has imported scipy yet
         src = Path(lambda_osc.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
-        probe = ("import sys, lambda_osc.cli; "
-                 "print('scipy.linalg' in sys.modules)")
+        # the process pool of check_classical is imported lazily too
+        probe = ("import sys, lambda_osc.cli; print(*(m in sys.modules for m "
+                 "in ('scipy.linalg', 'concurrent.futures', "
+                 "'multiprocessing')))")
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False", "False"]
 
 
 class TestDeterminism:

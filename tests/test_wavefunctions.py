@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lambda_osc.wavefunctions as wf
 from lambda_osc.hermite import generating_coeffs
 from lambda_osc.wavefunctions import (
     WaveFunction,
@@ -71,6 +72,22 @@ class TestEvaluate:
         w = wavefunction(2, Fraction(3, 10))
         assert w.poly.coefficient(2) == Fraction(14, 5)  # 4(1 - 3/10)
         assert w.envelope_exponent == Fraction(-5, 3)
+
+    def test_float_lambda_builds_no_coefficients(self, monkeypatch):
+        # values, zeros and overlaps come from the recursion; the exact
+        # polynomial factor is built only when read
+        def refuse(*args, **kwargs):
+            raise AssertionError("generating_coeffs called")
+
+        monkeypatch.setattr(wf, "generating_coeffs", refuse)
+        w = wavefunction(60, -0.5)
+        assert np.all(np.isfinite(w(np.linspace(-1.0, 1.0, 101))))
+        assert len(nodes(w)) == 60
+        w2 = wavefunction(2, -0.5)
+        assert mu_inner(w2, w2) > 0.0
+        monkeypatch.undo()
+        assert w2.poly == generating_coeffs(2)[2]
+        assert w.poly == generating_coeffs(60)[60]
 
     def test_boundary_decay_monotone(self):
         # the last percent of the domain decays monotonically to zero
