@@ -12,6 +12,14 @@ The factorized Hamiltonian per (hbar*alpha) is (1/2) raise(b) lower(b);
 the full oscillator Hamiltonian sits 1/2 above the b = 1 member.  At
 zero deformation the family envelope degenerates to the Gaussian and the
 operators reduce to the classical -d/dy + y and d/dy + y forms.
+
+Both operators are the one first-order kernel of the family,
+z^(p-1/2) (alpha*y*Q + beta*z*Q') (``LadderFunction.first_order``), with
+beta = +1 (lower) or -1 (raise) and alpha = b + 2*beta*lam*p; at zero
+deformation the Gaussian's derivative shifts alpha to b - 1 (lower) and
+b + 1 (raise).  Since gcd(z, y) = 1, the result keeps z out of Q whenever
+alpha != 0, so only alpha = 0 (as when lowering a chain ground state)
+divides by z.
 """
 
 import math
@@ -65,20 +73,11 @@ def apply(op: LadderOperator, f: LadderFunction) -> LadderFunction:
     """Apply a ladder operator exactly within the closed family."""
     if f.lam != op.lam:
         raise ValueError("operator and function deformation values differ")
-    lam, b = op.lam, op.b
-    if lam == 0:
-        # Gaussian envelope: sqrt(z) d/dy degenerates to d/dy
-        q = f.poly
-        dq = q.derivative() - q.shift_y()  # (Q e^{-y^2/2})' / e^{-y^2/2}
-        by_q = q.shift_y().scale(b)
-        out = dq + by_q if op.kind == KIND_LOWER else -dq + by_q
-        return LadderFunction(0, 0, out)
-    p, q = f.s, f.poly
-    if op.kind == KIND_LOWER:
-        out = q.shift_y().scale(b + 2 * lam * p) + q.derivative().times_z()
-    else:
-        out = q.shift_y().scale(b - 2 * lam * p) - q.derivative().times_z()
-    return LadderFunction(lam, p - Fraction(1, 2), out)
+    lam, b, p = op.lam, op.b, f.s
+    sign = 1 if op.kind == KIND_LOWER else -1
+    # at lam = 0 the Gaussian's own derivative adds -y*Q to Q'
+    alpha = b + sign * (2 * lam * p if lam else -1)
+    return f.first_order(alpha, sign, p - Fraction(1, 2))
 
 
 def ground_function(lam, b=1) -> LadderFunction:

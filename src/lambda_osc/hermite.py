@@ -106,12 +106,13 @@ def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
         weights.append(weights[-1] * (one - L * (k - 1)) * Fraction(1, k))
     for n in range(n_max + 1):
         coeffs = [ring_elem(0, lam)] * (n + 1)
+        n_fact = math.factorial(n)
         for k in range((n + 1) // 2, n + 1):
             i = n - k  # power of (-t^2) drawn from (2ty - t^2)^k
-            c = weights[k] * (
-                math.comb(k, i) * (-1) ** i * 2 ** (k - i) * math.factorial(n)
+            # y^(k - i) = y^(2k - n): one term per power, so assign
+            coeffs[k - i] = weights[k] * (
+                math.comb(k, i) * (-1) ** i * 2 ** (k - i) * n_fact
             )
-            coeffs[k - i] = coeffs[k - i] + c
         out.append(
             LambdaPoly(coeffs, lam=lam, normalization=NORM_GENERATING, n=n)
         )

@@ -14,6 +14,15 @@ with z = 1 + lam*y^2, on which differentiation and the ladder operators
 act exactly; that family requires a fixed rational deformation.  At lam = 0 the family
 degenerates and the envelope is taken to be the Gaussian exp(-y^2/2),
 which is its analytic limit.
+
+Every first-order operator on the family -- d/dy, and the lowering and
+raising operators of ``factorization`` -- is one kernel,
+``LadderFunction.first_order``: z^s (alpha*y*Q + beta*z*Q') in a single
+pass over the coefficients, with the operator picked by (alpha, beta).
+Members are kept canonical (z does not divide Q).  Because gcd(z, y) = 1,
+z divides alpha*y*Q + beta*z*Q' only if alpha = 0 or z divides Q, so a
+result with alpha != 0 is canonical as built; only alpha = 0 goes
+through the long division by z.
 """
 
 from fractions import Fraction
@@ -23,6 +32,7 @@ import numpy as np
 from .exact import DensePoly, LamPoly, exact_rational
 
 GENERIC = None  # sentinel for poly.lam in generic mode
+_ZERO = Fraction(0)
 
 
 def ring_elem(c, lam=GENERIC):
@@ -281,15 +291,47 @@ class LadderFunction:
         return hash((self.lam, self.s, self.poly))
 
     # -- exact operations -----------------------------------------------
+    def first_order(self, alpha, beta, s):
+        """z^s (alpha*y*Q + beta*z*Q') for rationals alpha, beta, in one pass.
+
+        Coefficient k is (alpha + beta*lam*(k-1)) Q_{k-1} + beta*(k+1) Q_{k+1},
+        built from integer numerators over one denominator, so each costs a
+        single ``Fraction`` normalization.  With alpha != 0 the result is
+        canonical as built (see the module docstring).  At lam = 0 (z = 1)
+        the exponent is dropped.
+        """
+        lam, s = self.lam, exact_rational(s)
+        alpha, beta = exact_rational(alpha), exact_rational(beta)
+        an, ad = alpha.numerator, alpha.denominator
+        bn, bd = beta.numerator, beta.denominator
+        ln, ld = lam.numerator, lam.denominator
+        # alpha + beta*lam*(k-1) = (a0 + a1*(k-1)) / den1
+        a0, a1, den1 = an * bd * ld, bn * ln * ad, ad * bd * ld
+        bad = bn * ad * ld  # beta*(k+1) = bad*(k+1) / den1
+        nums = [0, 0] + [c.numerator for c in self.poly.coeffs] + [0, 0]
+        dens = [1, 1] + [c.denominator for c in self.poly.coeffs] + [1, 1]
+        out = []
+        for k in range(len(nums) - 3):
+            n1, n2 = nums[k + 1], nums[k + 3]  # Q_{k-1}, Q_{k+1}
+            if not (n1 or n2):
+                out.append(_ZERO)
+                continue
+            d1, d2 = dens[k + 1], dens[k + 3]
+            num = (a0 + a1 * (k - 1)) * n1 * d2 + bad * (k + 1) * n2 * d1
+            out.append(Fraction(num, den1 * d1 * d2))
+        poly = LambdaPoly(out, lam=lam)
+        if lam == 0 or alpha == 0 or poly.is_zero():
+            return LadderFunction(lam, s, poly)  # the constructor divides by z
+        f = object.__new__(LadderFunction)  # already canonical
+        for name, value in (("lam", lam), ("s", s), ("poly", poly)):
+            object.__setattr__(f, name, value)
+        return f
+
     def differentiate(self):
-        """d/dy [z^s Q] = z^(s-1) (2*lam*s*y*Q + z*Q'); Gaussian rule at 0."""
-        if self.lam == 0:
-            q = self.poly.derivative() - self.poly.shift_y()
-            return LadderFunction(0, 0, q)
-        q = self.poly.shift_y().scale(2 * self.lam * self.s) + (
-            self.poly.derivative().times_z()
-        )
-        return LadderFunction(self.lam, self.s - 1, q)
+        """d/dy [z^s Q] = z^(s-1) (2*lam*s*y*Q + z*Q'); at lam = 0 the
+        Gaussian rule Q' - y*Q."""
+        alpha = 2 * self.lam * self.s if self.lam else -1
+        return self.first_order(alpha, 1, self.s - 1)
 
     def times_z_power(self, k):
         """Multiply by z^k for rational k (no-op at lam = 0 where z = 1)."""

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lambda_osc import factorization as fac
-from lambda_osc.hermite import generating_coeffs, proportionality, rodrigues
+from lambda_osc.hermite import (classical_hermite, generating_coeffs,
+                                proportionality, rodrigues)
 from lambda_osc.params import PhysicalParams
 from lambda_osc.polynomials import LadderFunction, LambdaPoly
 from lambda_osc.spectrum import energy
@@ -52,6 +53,90 @@ class TestLadderAction:
         g = family(Fraction(1, 3), 0, (1,))
         with pytest.raises(ValueError):
             fac.apply(fac.lowering(Fraction(1, 4), 1), g)
+
+
+CANONICAL_LAMS = ["1/5", "3/10", "-1/10", "-1/4", "-9/16", "-9/10", "0"]
+# r with z = (1 - r*y)(1 + r*y): z splits over the rationals
+SPLIT_ROOT = {Fraction(-1, 4): Fraction(1, 2), Fraction(-9, 16): Fraction(3, 4)}
+
+
+def _canonical_inputs(lam):
+    """Family members with assorted exponents, including one factor of a
+    split z in Q and the exponents where the operators' alpha vanishes."""
+    polys = [(1,), (0, 1), (1, 0, 1), (0, 0, 0, 1), (2, -1, 0, 3)]
+    if lam in SPLIT_ROOT:
+        r = SPLIT_ROOT[lam]
+        polys += [(1, -r), (2, 1 - 2 * r, -r)]  # 1 - r*y, (1 - r*y)(2 + y)
+    exponents = [Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(2)]
+    if lam:
+        exponents += [-1 / (2 * lam), -Fraction(3, 2) / (2 * lam)]
+    return [LadderFunction(lam, s, LambdaPoly(q, lam=lam))
+            for q in polys for s in exponents]
+
+
+class TestCanonicalFirstOrder:
+    """Results of the first-order operators equal their own rebuild through
+    the constructor, which divides out every z factor."""
+
+    @pytest.mark.parametrize("lam", CANONICAL_LAMS)
+    def test_results_are_canonical(self, lam):
+        lam = Fraction(lam)
+        ops = [fac.lowering(lam, b) for b in (1, Fraction(3, 2), 1 - 3 * lam)]
+        ops += [fac.raising(lam, b) for b in (1, Fraction(3, 2), 1 - 3 * lam)]
+        for f in _canonical_inputs(lam):
+            results = [f.differentiate()] + [fac.apply(op, f) for op in ops]
+            for r in results:
+                g = LadderFunction(r.lam, r.s, r.poly)
+                assert (r.s, r.poly) == (g.s, g.poly)
+
+    @pytest.mark.parametrize("lam", CANONICAL_LAMS)
+    def test_lowering_the_ground_state_is_exactly_zero(self, lam):
+        lam = Fraction(lam)
+        # the Gaussian is the ground state at b = 1 only
+        for b in (1, Fraction(3, 2), 1 - 3 * lam) if lam else (1,):
+            r = fac.apply(fac.lowering(lam, b), fac.ground_function(lam, b))
+            assert r.poly.is_zero() and r.s == 0
+
+    @pytest.mark.parametrize("lam", [l for l in CANONICAL_LAMS if l != "0"])
+    def test_derivative_that_is_z_canonicalizes(self, lam):
+        # alpha = 2*lam*s = 0 at s = 0; (y + lam*y^3/3)' = z
+        lam = Fraction(lam)
+        f = LadderFunction(lam, 0, LambdaPoly((0, 1, 0, lam / 3), lam=lam))
+        r = f.differentiate()
+        assert (r.s, r.poly) == (1, LambdaPoly.one(lam))
+
+
+class TestGaussianRules:
+    """At lambda = 0 the operators act on Q exp(-y^2/2); Q = 2 - y + 3y^3,
+    Q' = -1 + 9y^2, expanded by hand."""
+
+    zero = Fraction(0)
+    f = LadderFunction(0, 0, LambdaPoly((2, -1, 0, 3), lam=zero))
+
+    def _poly(self, *coeffs):
+        return LambdaPoly(coeffs, lam=self.zero)
+
+    def test_differentiate(self):
+        # Q' - yQ
+        assert self.f.differentiate().poly == self._poly(-1, -2, 10, 0, -3)
+
+    @pytest.mark.parametrize("b, expect", [
+        (1, (-1, 0, 9)),
+        (Fraction(3, 2), (-1, 1, Fraction(17, 2), 0, Fraction(3, 2))),
+    ])
+    def test_lower(self, b, expect):
+        # (b - 1) yQ + Q'
+        out = fac.apply(fac.lowering(0, b), self.f)
+        assert out.poly == self._poly(*expect) and out.s == 0
+
+    @pytest.mark.parametrize("b, expect", [
+        (1, (1, 4, -11, 0, 6)),
+        (Fraction(3, 2), (1, 5, Fraction(-23, 2), 0, Fraction(15, 2))),
+    ])
+    def test_raise(self, b, expect):
+        # (b + 1) yQ - Q'
+        out = fac.apply(fac.raising(0, b), self.f)
+        assert out.poly == self._poly(*expect) and out.s == 0
 
 
 class TestBuildState:
@@ -110,8 +195,9 @@ class TestBuildState:
             fac.build_state(2, Fraction(1, 2))
 
     def test_zero_deformation_gives_classical(self):
-        st = fac.build_state(4, Fraction(0))
-        assert st.poly.coeffs == generating_coeffs(4, Fraction(0))[4].coeffs
+        hermite = classical_hermite(12)
+        for n in range(13):
+            assert fac.build_state(n, Fraction(0)).poly.coeffs == hermite[n].coeffs
 
 
 class TestOperatorIdentities:
