@@ -13,12 +13,11 @@ from .classical import ClassicalState, OrbitParams, measure_period
 from .exact import LamPoly, LamRatio
 from .factorization import (
     LadderOperator,
-    ShapeChain,
     apply,
     build_state,
     commutator_closed_form,
+    conjugation_residual,
     partner_potentials,
-    conjugation_check,
 )
 from .hermite import (
     derivative_relation_check,
@@ -29,15 +28,9 @@ from .hermite import (
     series_solution,
     three_term_next,
 )
-from .params import (
-    AdimMap,
-    DeformationParam,
-    PhysicalParams,
-    classify,
-    to_adimensional,
-)
+from .params import DeformationParam, PhysicalParams, classify
 from .polynomials import LadderFunction, LambdaPoly
-from .quadrature import QuadratureSpec, integrate_measure, sl_weights
+from .quadrature import QuadratureSpec, integrate_measure
 from .spectrum import (
     EnergyLevel,
     SpectrumTable,
@@ -61,7 +54,6 @@ from .wavefunctions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdimMap",
     "ClassicalState",
     "DeformationParam",
     "EnergyLevel",
@@ -74,7 +66,6 @@ __all__ = [
     "PhysicalParams",
     "QuadratureSpec",
     "SLDiscretization",
-    "ShapeChain",
     "SpectrumTable",
     "WaveFunction",
     "apply",
@@ -83,6 +74,7 @@ __all__ = [
     "build_state",
     "classify",
     "commutator_closed_form",
+    "conjugation_residual",
     "derivative_relation_check",
     "eigenvalues",
     "energies",
@@ -100,12 +92,9 @@ __all__ = [
     "norm_constant",
     "partner_potentials",
     "proportionality",
-    "conjugation_check",
     "refine",
     "rodrigues",
     "series_solution",
-    "sl_weights",
     "three_term_next",
-    "to_adimensional",
     "wavefunction",
 ]

@@ -80,11 +80,6 @@ def energy(state: ClassicalState, alpha: float, lam: float, m: float = 1.0) -> f
     return 0.5 * m * (state.v * state.v + alpha * alpha * state.x * state.x) / z
 
 
-def acceleration(x: float, v: float, alpha: float, lam: float) -> float:
-    """x'' = (lam*x*v^2 - alpha^2 x) / (1 + lam*x^2)."""
-    return (lam * x * v * v - alpha * alpha * x) / (1.0 + lam * x * x)
-
-
 def ode_residual(orbit: OrbitParams, alpha: float, lam: float, t: float) -> float:
     """Residual of the equation of motion on the exact orbit (analytic
     derivatives); zero up to rounding when the frequency law holds."""
@@ -198,7 +193,6 @@ class PeriodProbe:
     period: float
     crossings: int
     max_rel_energy_drift: float
-    periods_integrated: float
 
 
 def measure_period(alpha: float, lam: float, amplitude: float,
@@ -210,6 +204,8 @@ def measure_period(alpha: float, lam: float, amplitude: float,
     interpolation; the relative energy deviation from the initial value
     is tracked along the way.
     """
+    if steps_per_period < 1:
+        raise ValueError("steps_per_period must be positive")
     orbit = OrbitParams.from_amplitude(amplitude, alpha, lam)
     h = orbit.period / steps_per_period
     drift, first_cross, last_cross, crossings = _leapfrog(
@@ -221,5 +217,4 @@ def measure_period(alpha: float, lam: float, amplitude: float,
         period=(last_cross - first_cross) / crossings,
         crossings=crossings,
         max_rel_energy_drift=drift / abs(e0),
-        periods_integrated=float(n_periods),
     )

@@ -43,10 +43,18 @@ POTENTIAL_LAMBDAS = (-2.0, -1.0, 1.0, 2.0)
 
 
 def parse_deformation(text: str, exact: bool = False):
-    """'3/10' is exact; '0.3' is exact when requested, else a float."""
+    """'3/10' is exact; '0.3' is exact when requested, else a float.
+
+    Raises ValueError for text that is not a number, including a zero
+    denominator such as '1/0'.
+    """
     s = text.strip()
     if exact or "/" in s:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"deformation {s} has a zero denominator") from None
     return float(s)
 
 
@@ -110,7 +118,7 @@ def cmd_spectrum(args) -> int:
         m_max = args.mmax
         if m_max is None:
             m_max = dp.n_max if dp.n_max is not None else 8
-        table = energies(lam, m_max, include_unbound=True)
+        table = energies(lam, m_max)
         for m, e, spacing, bound in table.rows():
             rows.append((float(lam), "level", float(m), e, spacing, bound))
         if args.figure3 or args.figure4:
@@ -349,6 +357,8 @@ def cmd_classical(args) -> int:
         ]
         _emit(args, header, rows)
         return 0
+    if args.steps_per_period < 1:
+        raise ValueError("steps_per_period must be positive")
     lam = float(lams[0])
     orbit = classical.OrbitParams.from_amplitude(amps[0], args.alpha, lam)
     h = orbit.period / args.steps_per_period

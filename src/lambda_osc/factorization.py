@@ -29,7 +29,6 @@ from fractions import Fraction
 from .exact import exact_rational
 from .params import PhysicalParams, classify
 from .polynomials import LadderFunction, LambdaPoly
-from .spectrum import chain_parameter, chain_remainder
 from .wavefunctions import WaveFunction
 
 KIND_LOWER = "lower"
@@ -133,13 +132,6 @@ def hamiltonian_chain_partner(f: LadderFunction, b=1) -> LadderFunction:
     )
 
 
-def hamiltonian_full(f: LadderFunction) -> LadderFunction:
-    """The oscillator Hamiltonian per (hbar*alpha) as a differential
-    expression: -(1/2)(z f'' + lam*y f') + (1/2)(1+lam) y^2 z^-1 f,
-    which is the b = 1 chain Hamiltonian shifted up by 1/2."""
-    return hamiltonian_diff_form(f, 1) + f.scale(Fraction(1, 2))
-
-
 def hamiltonian_diff_form(f: LadderFunction, b=1) -> LadderFunction:
     """The chain Hamiltonian written out as a differential expression:
     -(1/2)(z f'' + lam*y f') + [(1/2) b (b + lam) y^2 z^-1 - b/2] f.
@@ -211,11 +203,6 @@ def conjugation_residual(p, g: LadderFunction) -> LadderFunction:
     return lhs + rhs
 
 
-def conjugation_check(p, g: LadderFunction) -> bool:
-    """True iff the conjugation identity holds exactly on g."""
-    return conjugation_residual(p, g).is_zero()
-
-
 # -- physical-unit surfaces ---------------------------------------------------
 
 
@@ -282,23 +269,3 @@ def commutator_via_operators(x, params: PhysicalParams,
         raise ValueError("test function vanishes at the sample point")
     scale = 0.5 * float(params.hbar) * float(params.alpha)
     return scale * comm(y) / gy
-
-
-@dataclass(frozen=True)
-class ShapeChain:
-    """Materialized shape-invariance chain in physical units."""
-
-    params: PhysicalParams
-    alphas: tuple
-    remainders: tuple
-
-    @property
-    def b_values(self):
-        return tuple(a / self.params.alpha for a in self.alphas)
-
-
-def shape_chain(params: PhysicalParams, n: int) -> ShapeChain:
-    """Chain parameters alpha_k and remainders R(alpha_k) for k = 0..n."""
-    alphas = tuple(chain_parameter(params, k) for k in range(n + 1))
-    remainders = tuple(chain_remainder(params, a) for a in alphas)
-    return ShapeChain(params=params, alphas=alphas, remainders=remainders)

@@ -210,8 +210,3 @@ def ode_residual(h: LambdaPoly, p: int) -> LambdaPoly:
         + h.derivative().shift_y().scale(L - 2)
         + h.scale(2 * p - L * p**2)
     )
-
-
-def classical_hermite(n_max: int) -> list[LambdaPoly]:
-    """Classical Hermite polynomials (zero deformation, exact)."""
-    return generating_coeffs(n_max, lam=Fraction(0))

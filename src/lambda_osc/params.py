@@ -93,57 +93,3 @@ def classify(lam) -> DeformationParam:
     return DeformationParam(
         lam=lam, sign_class=SIGN_NEGATIVE, half_width=1.0 / math.sqrt(-lam)
     )
-
-
-def norm_tail_exponent(m: int, lam):
-    """Large-y power of the norm integrand, 2m - 1 - 2/lam (lam > 0).
-
-    The state m is normalizable exactly when this is below -1.
-    """
-    if not lam > 0:
-        raise ValueError("tail exponent only meaningful for positive deformation")
-    two_over = (
-        Fraction(2) / lam if isinstance(lam, (Fraction, int)) else 2.0 / lam
-    )
-    return 2 * m - 1 - two_over
-
-
-@dataclass(frozen=True)
-class AdimMap:
-    """Coordinate map between physical x and adimensional y.
-
-    x = sqrt(hbar/(m*alpha)) * y and lam_phys = (m*alpha/hbar) * lam_adim,
-    so 1 + lam_phys*x^2 = 1 + lam_adim*y^2 holds identically; the squared
-    form of the map is exact for exact inputs.
-    """
-
-    params: PhysicalParams
-
-    @property
-    def length_scale_sq(self):
-        """x^2 / y^2, i.e. hbar/(m*alpha); exact for exact params."""
-        return self.params.hbar / (self.params.m * self.params.alpha)
-
-    @property
-    def lam_adim(self):
-        return self.params.lam_adim
-
-    def y_from_x(self, x) -> float:
-        return float(x) / math.sqrt(float(self.length_scale_sq))
-
-    def x_from_y(self, y) -> float:
-        return float(y) * math.sqrt(float(self.length_scale_sq))
-
-    def y_squared_from_x_squared(self, x_sq):
-        """Exact inverse-square map (keeps Fractions exact)."""
-        return x_sq / self.length_scale_sq
-
-
-def to_adimensional(params: PhysicalParams, x):
-    """Map a physical coordinate to (y, lam_adim).
-
-    The coordinate comes back as a float (the scale is a square root);
-    the deformation parameter keeps the exactness of the inputs.
-    """
-    amap = AdimMap(params)
-    return amap.y_from_x(x), amap.lam_adim

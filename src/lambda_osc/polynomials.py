@@ -269,10 +269,6 @@ class LadderFunction:
     def __setattr__(self, name, value):
         raise AttributeError("LadderFunction is immutable")
 
-    @classmethod
-    def from_poly(cls, poly: LambdaPoly, s=0):
-        return cls(poly.lam, s, poly)
-
     def is_zero(self):
         return self.poly.is_zero()
 

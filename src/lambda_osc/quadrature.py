@@ -218,32 +218,3 @@ def integrate_measure(f, spec: QuadratureSpec) -> float:
             )
         prev = est
         n *= 2
-
-
-def measure_total(lam: float) -> float:
-    """Total measure of the domain for negative deformation:
-    pi / sqrt(|lam|)."""
-    if not lam < 0:
-        raise ValueError("total measure is finite only for negative deformation")
-    return math.pi / math.sqrt(-lam)
-
-
-def sl_weights(y, lam):
-    """Self-adjoint-form weights (p, r) of the deformed equation.
-
-    p = (1 + lam*y^2)^(1/2 - 1/lam) and r = p / (1 + lam*y^2); both are
-    positive on the open domain.
-    """
-    lam_f = float(lam)
-    if lam_f == 0:
-        raise ValueError("weights are defined for nonzero deformation")
-    y = np.asarray(y, dtype=float)
-    z = 1.0 + lam_f * y * y
-    if np.any(z < 0):
-        raise ValueError("coordinate outside the domain")
-    expo = 0.5 - 1.0 / lam_f
-    p = np.exp(expo * np.log1p(lam_f * y * y))
-    r = p / z
-    if y.ndim == 0:
-        return float(p), float(r)
-    return p, r

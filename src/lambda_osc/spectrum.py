@@ -46,10 +46,6 @@ class SpectrumTable:
         es = self.energies
         return [e2 - e1 for e1, e2 in zip(es, es[1:])]
 
-    @property
-    def bound_levels(self):
-        return [lv for lv in self.levels if lv.bound]
-
     def rows(self):
         """(m, e_m, spacing-to-next, bound) rows for tabular output."""
         sp = self.spacings
@@ -59,12 +55,12 @@ class SpectrumTable:
         return out
 
 
-def energies(lam, m_max: int, include_unbound: bool = True) -> SpectrumTable:
+def energies(lam, m_max: int) -> SpectrumTable:
     """Levels m = 0..m_max with bound flags.
 
     For positive deformation, indices beyond the cutoff are still
     computable (the continuous curve extends past the physical range)
-    but are flagged unbound; pass include_unbound=False to drop them.
+    but are flagged unbound.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
@@ -73,8 +69,6 @@ def energies(lam, m_max: int, include_unbound: bool = True) -> SpectrumTable:
     levels = []
     for m in range(m_max + 1):
         bound = n_max is None or m <= n_max
-        if not bound and not include_unbound:
-            break
         levels.append(EnergyLevel(m=m, e=energy(lam, m), bound=bound))
     return SpectrumTable(lam=lam, levels=tuple(levels))
 

@@ -23,10 +23,6 @@ import numpy as np
 # largest grid refine() tries before it raises RefinementError
 GRID_CAP = 1 << 14
 
-BOUNDARY_WALLS = "dirichlet_at_walls"
-BOUNDARY_TRUNCATED = "dirichlet_truncated"
-BOUNDARY_GAUSSIAN = "dirichlet_truncated_gaussian"
-
 
 class RefinementError(RuntimeError):
     """Grid refinement exhausted the cap; carries the level diagnostics."""
@@ -69,7 +65,6 @@ class SLDiscretization:
     lam: float
     n: int
     half_width: float
-    boundary: str
     u: np.ndarray
     diag: np.ndarray
     offdiag: np.ndarray
@@ -90,12 +85,9 @@ def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretiz
     if n < 64:
         raise ValueError(f"grid size {n} too small (need at least 64)")
     if lam < 0:
-        boundary = BOUNDARY_WALLS
         half_width = wall_position(lam)
-    else:
-        boundary = BOUNDARY_TRUNCATED if lam > 0 else BOUNDARY_GAUSSIAN
-        if half_width is None or not half_width > 0:
-            raise ValueError("a positive truncation half-width is required")
+    elif half_width is None or not half_width > 0:
+        raise ValueError("a positive truncation half-width is required")
     h = 2.0 * half_width / n
     u = -half_width + (np.arange(1, n + 1) - 0.5) * h
     inv2 = 1.0 / (2.0 * h * h)
@@ -107,7 +99,6 @@ def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretiz
         lam=lam,
         n=n,
         half_width=half_width,
-        boundary=boundary,
         u=u,
         diag=diag,
         offdiag=offdiag,
@@ -125,23 +116,6 @@ def eigenvalues(disc: SLDiscretization, k: int) -> np.ndarray:
     return eigvalsh_tridiagonal(
         disc.diag, disc.offdiag, select="i", select_range=(0, k - 1)
     )
-
-
-def eigenpairs(disc: SLDiscretization, k: int):
-    """Lowest k eigenvalues and grid eigenvectors."""
-    from scipy.linalg import eigh_tridiagonal
-
-    if k > disc.n - 2:
-        raise ValueError(f"requested {k} eigenvalues from a {disc.n}-point grid")
-    return eigh_tridiagonal(
-        disc.diag, disc.offdiag, select="i", select_range=(0, k - 1)
-    )
-
-
-def vector_node_count(vec: np.ndarray) -> int:
-    """Strict sign changes of a grid eigenvector, ignoring noise-level entries."""
-    v = vec[np.abs(vec) > 1e-9 * np.max(np.abs(vec))]
-    return int(np.sum(v[:-1] * v[1:] < 0))
 
 
 def default_halfwidth(lam: float, k: int, tail_tol: float = 1e-12) -> float:
@@ -229,18 +203,6 @@ def refine(
         f"(last error estimate {levels[-1].error_estimate})",
         levels=levels,
     )
-
-
-def convergence_table(lam: float, k: int, sizes, half_width: float | None = None):
-    """(grid size, eigenvalues, error-vs-finest) rows for reporting."""
-    if half_width is None and lam >= 0:
-        half_width = default_halfwidth(lam, k)
-    vals = [eigenvalues(assemble(lam, n, half_width), k) for n in sizes]
-    finest = vals[-1]
-    return [
-        (n, v, float(np.max(np.abs(v - finest))))
-        for n, v in zip(sizes, vals)
-    ]
 
 
 def convergence_order(lam: float, m: int, n0: int = 512,

@@ -287,7 +287,7 @@ def check_gram(tol: float = 1e-8,
     return out
 
 
-def check_ladder(tol_exact: int = 0, n_max: int = 8) -> list[CheckResult]:
+def check_ladder(n_max: int = 8) -> list[CheckResult]:
     """Exact rational-mode ladder checks."""
     out = []
     lam = Fraction(1, 10)
@@ -300,14 +300,14 @@ def check_ladder(tol_exact: int = 0, n_max: int = 8) -> list[CheckResult]:
             bad += 1
     out.append(
         _record("ladder_proportionality", {"lambda": str(lam), "n_max": n_max},
-                bad, tol_exact)
+                bad, 0)
     )
 
     g0 = factorization.ground_function(lam, 1)
     ann = factorization.apply(factorization.lowering(lam, 1), g0)
     out.append(
         _record("ground_state_annihilation", {"lambda": str(lam)},
-                0 if ann.is_zero() else 1, tol_exact)
+                0 if ann.is_zero() else 1, 0)
     )
 
     bad = 0
@@ -319,7 +319,7 @@ def check_ladder(tol_exact: int = 0, n_max: int = 8) -> list[CheckResult]:
         for n, e_n in enumerate(ladder):
             if e_n + Fraction(1, 2) != energy(lam_r, n):
                 bad += 1
-    out.append(_record("ladder_energies_exact", {"n_max": 20}, bad, tol_exact))
+    out.append(_record("ladder_energies_exact", {"n_max": 20}, bad, 0))
 
     battery = _operator_battery(Fraction(1, 10))
     bad = sum(
@@ -328,7 +328,7 @@ def check_ladder(tol_exact: int = 0, n_max: int = 8) -> list[CheckResult]:
         if not factorization.shape_invariance_residual(f, 1).is_zero()
     )
     out.append(
-        _record("shape_invariance", {"battery": len(battery)}, bad, tol_exact)
+        _record("shape_invariance", {"battery": len(battery)}, bad, 0)
     )
     bad = sum(
         1
@@ -339,8 +339,7 @@ def check_ladder(tol_exact: int = 0, n_max: int = 8) -> list[CheckResult]:
         ).is_zero()
     )
     out.append(
-        _record("factorization_identity", {"battery": len(battery)}, bad,
-                tol_exact)
+        _record("factorization_identity", {"battery": len(battery)}, bad, 0)
     )
     return out
 

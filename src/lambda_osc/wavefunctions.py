@@ -82,14 +82,6 @@ class WaveFunction:
     def half_width(self):
         return self.deformation.half_width
 
-    @property
-    def envelope_exponent(self):
-        """Exponent of z in the decay factor, -1/(2 lam)."""
-        lam = self.lam
-        if isinstance(lam, (Fraction, int)) and lam != 0:
-            return -1 / (2 * Fraction(lam))
-        return None if lam == 0 else -1.0 / (2.0 * float(lam))
-
     def _recurse(self, y, psi):
         """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = psi."""
         y = np.asarray(y, dtype=float)

@@ -9,7 +9,6 @@ from lambda_osc.classical import (
     ClassicalState,
     DomainExitError,
     OrbitParams,
-    acceleration,
     energy,
     integrate,
     measure_period,
@@ -105,12 +104,6 @@ class TestIntegrate:
             integrate(ClassicalState(1.3, 8.0), 1.0, -0.5, 5.0, 0.5)
         assert 0 < err.value.time <= 5.0
 
-    def test_acceleration_form(self):
-        # (lam x v^2 - alpha^2 x)/(1 + lam x^2)
-        assert acceleration(0.5, 2.0, 1.0, 0.3) == pytest.approx(
-            (0.3 * 0.5 * 4.0 - 0.5) / 1.075
-        )
-
 
 class TestPeriodMeasurement:
     @pytest.mark.parametrize("lam", [0.5, -0.5, 0.1, -0.1])
@@ -142,6 +135,11 @@ class TestPeriodMeasurement:
                                steps_per_period=37)
         assert probe.period == pytest.approx(math.pi * h / math.asin(h / 2),
                                              rel=1e-5)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_per_period_must_be_positive(self, steps):
+        with pytest.raises(ValueError, match="steps_per_period"):
+            measure_period(1.0, 0.5, 1.0, n_periods=1, steps_per_period=steps)
 
     def test_wall_exit_carries_time(self):
         # a coarse step at lam*A^2 = -0.98 leaves the domain on step one

@@ -24,6 +24,20 @@ class TestParsing:
         assert parse_deformation("0.3", exact=True) == Fraction(3, 10)
         assert parse_deformation("-1/5") == Fraction(-1, 5)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_zero_denominator_is_a_value_error(self, exact):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_deformation("1/0", exact=exact)
+
+    @pytest.mark.parametrize("command", ["spectrum", "potential", "polys",
+                                         "wavefn", "gram", "sl", "ladder",
+                                         "classical", "verify"])
+    def test_zero_denominator_reaches_the_cli_as_an_error(self, command,
+                                                          capsys):
+        assert main([command, "--lambda", "1/0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: deformation 1/0 has a zero denominator\n"
+
 
 class TestSpectrumCommand:
     def test_published_rows(self, capsys):
@@ -255,3 +269,9 @@ class TestClassicalCommand:
                          "json")
         (rec,) = json.loads(out)
         assert rec["rel_period_error"] < 1e-4
+
+    @pytest.mark.parametrize("probe", [[], ["--probe"]])
+    def test_zero_steps_per_period_refused(self, probe, capsys):
+        assert main(["classical", *probe, "--steps-per-period", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: steps_per_period must be positive\n"

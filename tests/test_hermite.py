@@ -5,7 +5,6 @@ import pytest
 from lambda_osc.exact import LamPoly, LamRatio
 from lambda_osc.hermite import (
     NORM_GENERATING,
-    classical_hermite,
     derivative_relation_check,
     generating_coeffs,
     leading_coefficient,
@@ -152,7 +151,7 @@ class TestGeneratingFunction:
 
     def test_classical_limit_matches_oracle(self):
         oracle = classical_hermite_oracle(12)
-        got = classical_hermite(12)
+        got = generating_coeffs(12, Fraction(0))
         for n in range(13):
             assert [int(c) for c in got[n].coeffs] == oracle[n]
 

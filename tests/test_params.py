@@ -1,15 +1,8 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from lambda_osc.params import (
-    AdimMap,
-    PhysicalParams,
-    classify,
-    norm_tail_exponent,
-    to_adimensional,
-)
+from lambda_osc.params import PhysicalParams, classify
 
 
 class TestClassify:
@@ -27,20 +20,16 @@ class TestClassify:
         assert dp.bound_states is None
 
     def test_integer_cutoff_excludes_borderline_state(self):
-        # oracle: the norm integrand's tail power 2m - 1 - 2/lam must be
-        # below -1; at 1/2 the m = 2 state sits exactly at -1 and is out
-        lam = Fraction(1, 2)
-        assert norm_tail_exponent(1, lam) < -1
-        assert norm_tail_exponent(2, lam) == -1
-        assert classify(lam).n_max == 1
+        # the norm integrand's tail power 2m - 1 - 2/lam must be below -1;
+        # at 1/2 the m = 2 state sits exactly at -1 and is out
+        assert classify(Fraction(1, 2)).n_max == 1
 
     def test_exponent_oracle_matches_cutoff(self):
-        for lam in (Fraction(1, 5), Fraction(3, 10), Fraction(2, 7),
-                    Fraction(1, 3), Fraction(7, 5)):
-            n = classify(lam).n_max
-            for m in range(n + 1):
-                assert norm_tail_exponent(m, lam) < -1
-            assert norm_tail_exponent(n + 1, lam) >= -1
+        # n_max is the largest m with 2m - 1 - 2/lam < -1, i.e. m < 1/lam
+        expected = {Fraction(1, 5): 4, Fraction(3, 10): 3, Fraction(2, 7): 3,
+                    Fraction(1, 3): 2, Fraction(7, 5): 0}
+        for lam, n_max in expected.items():
+            assert classify(lam).n_max == n_max
 
     def test_negative_has_walls(self):
         dp = classify(-0.25)
@@ -88,33 +77,16 @@ class TestPhysicalParams:
 class TestAdimensionalMap:
     def test_unit_parameters_make_identity(self):
         p = PhysicalParams(m=1, alpha=1, hbar=1, lam=0.3)
-        y, lam = to_adimensional(p, 2.0)
-        assert y == pytest.approx(2.0)
-        assert lam == pytest.approx(0.3)
+        assert p.lam_adim == pytest.approx(0.3)
 
     def test_substitution_example(self):
         p = PhysicalParams(m=Fraction(2), alpha=Fraction(1), hbar=Fraction(1),
                            lam=Fraction(1))
-        y, lam = to_adimensional(p, 1)
-        assert lam == Fraction(1, 2)
-        assert y == pytest.approx(math.sqrt(2.0))
-
-    def test_origin_fixed(self):
-        p = PhysicalParams(m=2.7, alpha=0.4, hbar=1.3, lam=-0.2)
-        y, _ = to_adimensional(p, 0.0)
-        assert y == 0.0
-
-    def test_round_trip(self):
-        p = PhysicalParams(m=2.7, alpha=0.4, hbar=1.3, lam=-0.2)
-        amap = AdimMap(p)
-        for x in (0.3, -1.7, 2.2):
-            assert amap.x_from_y(amap.y_from_x(x)) == pytest.approx(x, rel=1e-15)
+        assert p.lam_adim == Fraction(1, 2)
 
     def test_invariant_combination_exact(self):
-        # 1 + lam_phys x^2 == 1 + lam_adim y^2 through the squared map
+        # 1 + lam_phys x^2 == 1 + lam_adim y^2 with y^2 = beta x^2
         p = PhysicalParams(m=Fraction(2), alpha=Fraction(3), hbar=Fraction(7),
                            lam=Fraction(-5, 11))
-        amap = AdimMap(p)
         x_sq = Fraction(9, 4)
-        y_sq = amap.y_squared_from_x_squared(x_sq)
-        assert 1 + p.lam * x_sq == 1 + amap.lam_adim * y_sq
+        assert 1 + p.lam * x_sq == 1 + p.lam_adim * p.beta * x_sq

@@ -10,9 +10,7 @@ from lambda_osc.quadrature import (
     QuadratureSpec,
     _leggauss,
     integrate_measure,
-    measure_total,
     overlap_halfwidth,
-    sl_weights,
 )
 from lambda_osc.wavefunctions import mu_inner, wavefunction
 
@@ -24,7 +22,6 @@ class TestMeasureIntegration:
         got = integrate_measure(lambda y: np.ones_like(y),
                                 QuadratureSpec(lam=-1.0))
         assert got == pytest.approx(math.pi, rel=1e-14)
-        assert measure_total(-1.0) == pytest.approx(math.pi)
 
     def test_total_measure_scales(self):
         got = integrate_measure(lambda y: np.ones_like(y),
@@ -187,32 +184,3 @@ class TestRule:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-
-class TestSelfAdjointWeights:
-    def test_origin(self):
-        assert sl_weights(0.0, 0.7) == (1.0, 1.0)
-
-    def test_positive_example(self):
-        # exponent 1/2 - 2 = -3/2 at one-half deformation
-        p, r = sl_weights(1.0, 0.5)
-        assert p == pytest.approx(1.5 ** -1.5, rel=1e-15)
-        assert r == pytest.approx(p / 1.5, rel=1e-15)
-
-    def test_vanishes_at_negative_walls(self):
-        p_near, _ = sl_weights(0.999999, -1.0)
-        p_nearer, _ = sl_weights(0.9999999, -1.0)
-        assert 0 < p_nearer < p_near < 1e-8
-
-    def test_ratio_identity_on_grid(self):
-        ys = np.linspace(-2.0, 2.0, 41)
-        p, r = sl_weights(ys, 0.3)
-        assert np.allclose(r * (1 + 0.3 * ys**2), p, rtol=1e-14)
-        assert np.all(p > 0) and np.all(r > 0)
-
-    def test_zero_deformation_rejected(self):
-        with pytest.raises(ValueError):
-            sl_weights(0.3, 0.0)
-
-    def test_outside_domain_rejected(self):
-        with pytest.raises(ValueError):
-            sl_weights(2.0, -1.0)

@@ -40,8 +40,6 @@ class TestClosedFormEnergies:
     def test_unbound_flagging(self):
         t = energies(0.3, 6)
         assert [lv.bound for lv in t.levels] == [True] * 4 + [False] * 3
-        t2 = energies(0.3, 6, include_unbound=False)
-        assert len(t2.levels) == 4
 
     def test_spacings(self):
         # 1 - (m + 1/2) lam within the bound range, and the negative-sign

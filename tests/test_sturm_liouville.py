@@ -10,13 +10,10 @@ from lambda_osc.sturm_liouville import (
     assemble,
     continuum_threshold,
     convergence_order,
-    convergence_table,
     default_halfwidth,
-    eigenpairs,
     eigenvalues,
     potential_u,
     refine,
-    vector_node_count,
     wall_position,
 )
 
@@ -25,7 +22,6 @@ class TestAssembly:
     def test_walls_for_unit_negative(self):
         d = assemble(-1.0, 256)
         assert d.half_width == pytest.approx(math.pi / 2)
-        assert d.boundary == "dirichlet_at_walls"
         assert d.u[0] > -d.half_width and d.u[-1] < d.half_width
         assert np.all(np.isfinite(d.diag))
 
@@ -125,11 +121,6 @@ class TestRefinement:
             refine(-0.3, 3, tol=1e-13)
         assert err.value.levels[-1].n == GRID_CAP
 
-    def test_convergence_table_rows(self):
-        rows = convergence_table(-0.3, 2, (128, 256, 512))
-        assert [r[0] for r in rows] == [128, 256, 512]
-        assert rows[0][2] > rows[1][2] > 0  # errors shrink toward the finest
-
     def test_truncation_robustness(self):
         u = default_halfwidth(0.15, 7)
         a, _ = refine(0.15, 7, tol=1e-7, half_width=u)
@@ -143,16 +134,3 @@ class TestConvergenceOrder:
         order = convergence_order(lam, m)
         assert 1.8 <= order <= 2.2
 
-
-class TestEigenvectors:
-    def test_node_counts_match_quantum_number(self):
-        d = assemble(0.3, 2048, default_halfwidth(0.3, 4))
-        _vals, vecs = eigenpairs(d, 4)
-        for m in range(4):
-            assert vector_node_count(vecs[:, m]) == m
-
-    def test_node_counts_negative_deformation(self):
-        d = assemble(-0.3, 2048)
-        _vals, vecs = eigenpairs(d, 6)
-        for m in range(6):
-            assert vector_node_count(vecs[:, m]) == m

@@ -71,7 +71,6 @@ class TestEvaluate:
     def test_exact_mode_polynomial(self):
         w = wavefunction(2, Fraction(3, 10))
         assert w.poly.coefficient(2) == Fraction(14, 5)  # 4(1 - 3/10)
-        assert w.envelope_exponent == Fraction(-5, 3)
 
     def test_float_lambda_builds_no_coefficients(self, monkeypatch):
         # values, zeros and overlaps come from the recursion; the exact
