@@ -9,92 +9,69 @@ command-line tool (``lambda-osc``) that exports tables and runs the
 cross-validation suite.
 """
 
-from .classical import ClassicalState, OrbitParams, measure_period
-from .exact import LamPoly, LamRatio
-from .factorization import (
-    LadderOperator,
-    apply,
-    build_state,
-    commutator_closed_form,
-    conjugation_residual,
-    partner_potentials,
-)
-from .hermite import (
-    derivative_relation_check,
-    generating_coeffs,
-    leading_coefficient,
-    proportionality,
-    rodrigues,
-    series_solution,
-    three_term_next,
-)
-from .params import DeformationParam, PhysicalParams, classify
-from .polynomials import LadderFunction, LambdaPoly
-from .quadrature import QuadratureSpec, integrate_measure
-from .spectrum import (
-    EnergyLevel,
-    SpectrumTable,
-    bound_count,
-    energies,
-    energy,
-    ladder_energies,
-)
-from .sturm_liouville import SLDiscretization, assemble, eigenvalues, refine
-from .wavefunctions import (
-    WaveFunction,
-    envelope,
-    evaluate,
-    gram_matrix,
-    mu_inner,
-    nodes,
-    norm_constant,
-    wavefunction,
-)
+import importlib
+
+# every public name, by the module that defines it; each module is
+# imported on first access (PEP 562), so ``import lambda_osc`` loads none
+# of them and a command pays only for the modules it runs
+_SOURCES = {
+    "classical": ("ClassicalState", "OrbitParams", "measure_period"),
+    "exact": ("LamPoly", "LamRatio"),
+    "factorization": (
+        "LadderOperator",
+        "apply",
+        "build_state",
+        "commutator_closed_form",
+        "conjugation_residual",
+        "partner_potentials",
+    ),
+    "hermite": (
+        "derivative_relation_check",
+        "generating_coeffs",
+        "leading_coefficient",
+        "proportionality",
+        "rodrigues",
+        "series_solution",
+        "three_term_next",
+    ),
+    "params": ("DeformationParam", "PhysicalParams", "classify"),
+    "polynomials": ("LadderFunction", "LambdaPoly"),
+    "quadrature": ("QuadratureSpec", "integrate_measure"),
+    "spectrum": (
+        "EnergyLevel",
+        "SpectrumTable",
+        "bound_count",
+        "energies",
+        "energy",
+        "ladder_energies",
+    ),
+    "sturm_liouville": ("SLDiscretization", "assemble", "eigenvalues", "refine"),
+    "wavefunctions": (
+        "WaveFunction",
+        "envelope",
+        "evaluate",
+        "gram_matrix",
+        "mu_inner",
+        "nodes",
+        "norm_constant",
+        "wavefunction",
+    ),
+}
+_MODULE_OF = {name: mod for mod, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassicalState",
-    "DeformationParam",
-    "EnergyLevel",
-    "LadderFunction",
-    "LadderOperator",
-    "LamPoly",
-    "LamRatio",
-    "LambdaPoly",
-    "OrbitParams",
-    "PhysicalParams",
-    "QuadratureSpec",
-    "SLDiscretization",
-    "SpectrumTable",
-    "WaveFunction",
-    "apply",
-    "assemble",
-    "bound_count",
-    "build_state",
-    "classify",
-    "commutator_closed_form",
-    "conjugation_residual",
-    "derivative_relation_check",
-    "eigenvalues",
-    "energies",
-    "energy",
-    "envelope",
-    "evaluate",
-    "generating_coeffs",
-    "gram_matrix",
-    "integrate_measure",
-    "ladder_energies",
-    "leading_coefficient",
-    "measure_period",
-    "mu_inner",
-    "nodes",
-    "norm_constant",
-    "partner_potentials",
-    "proportionality",
-    "refine",
-    "rodrigues",
-    "series_solution",
-    "three_term_next",
-    "wavefunction",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

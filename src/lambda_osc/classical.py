@@ -56,6 +56,8 @@ class OrbitParams:
     @classmethod
     def from_amplitude(cls, amplitude: float, alpha: float, lam: float,
                        phase: float = 0.0):
+        if not alpha > 0:
+            raise ValueError(f"alpha {alpha} must be positive")
         denom = 1.0 + lam * amplitude * amplitude
         if denom <= 0:
             raise ValueError(

@@ -4,6 +4,10 @@ Every subcommand emits machine-readable CSV or JSON, never plots; with
 no flags beyond the subcommand the defaults reproduce the acceptance
 parameter sets.  Output is deterministic: identical invocations produce
 byte-identical files.
+
+numpy and the finite-difference oracle are imported inside the commands
+that use them, so the exact commands (``polys``, ``ladder``,
+``spectrum``, ``classical``) start without numpy.
 """
 
 import argparse
@@ -13,9 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import classical, factorization, sturm_liouville, verification
+from . import classical, factorization, verification
 from .hermite import (
     NORM_GENERATING,
     NORM_RODRIGUES,
@@ -122,6 +124,8 @@ def cmd_spectrum(args) -> int:
         for m, e, spacing, bound in table.rows():
             rows.append((float(lam), "level", float(m), e, spacing, bound))
         if args.figure3 or args.figure4:
+            import numpy as np
+
             top = (1.0 / lam * 1.6) if lam > 0 else (m_max + 0.5)
             grid = np.linspace(0.0, top, args.curve_points)
             for m, e in continuous_curve(lam, grid):
@@ -131,6 +135,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_potential(args) -> int:
+    import numpy as np
+
     lams = _lambdas(args, POTENTIAL_LAMBDAS)
     alpha = args.alpha
     rows = []
@@ -193,6 +199,8 @@ def cmd_polys(args) -> int:
 
 
 def cmd_wavefn(args) -> int:
+    import numpy as np
+
     lam = _lambdas(args, [0.3])[0]
     dp = classify(lam)
     ms = args.m if args.m else list(
@@ -252,6 +260,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_sl(args) -> int:
+    from . import sturm_liouville
+
     lams = _lambdas(args, SL_LAMBDAS)
     tol = 1e-6 if args.tol is None else args.tol
     rows = []

@@ -25,11 +25,14 @@ divides by z.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exact import exact_rational
 from .params import PhysicalParams, classify
 from .polynomials import LadderFunction, LambdaPoly
-from .wavefunctions import WaveFunction
+
+if TYPE_CHECKING:
+    from .wavefunctions import WaveFunction
 
 KIND_LOWER = "lower"
 KIND_RAISE = "raise"
@@ -88,7 +91,7 @@ def ground_function(lam, b=1) -> LadderFunction:
     return LadderFunction(lam, -exact_rational(b) / (2 * lam), LambdaPoly.one(lam))
 
 
-def build_state(n: int, lam) -> WaveFunction:
+def build_state(n: int, lam) -> "WaveFunction":
     """n-th eigenfunction by composing raising operators down the chain.
 
     Applies raise(b_0) ... raise(b_{n-1}) to the ground state of the
@@ -96,6 +99,9 @@ def build_state(n: int, lam) -> WaveFunction:
     factor comes out proportional to the generating-normalization
     polynomial of the same index.
     """
+    # here, not at module level: the operator algebra needs no eigenfunctions
+    from .wavefunctions import WaveFunction
+
     if n < 0:
         raise ValueError("index must be nonnegative")
     lam = exact_rational(lam)

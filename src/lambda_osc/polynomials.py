@@ -23,11 +23,11 @@ Members are kept canonical (z does not divide Q).  Because gcd(z, y) = 1,
 z divides alpha*y*Q + beta*z*Q' only if alpha = 0 or z divides Q, so a
 result with alpha != 0 is canonical as built; only alpha = 0 goes
 through the long division by z.
+
+The exact arithmetic imports no numpy; only the float evaluations do.
 """
 
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import DensePoly, LamPoly, exact_rational
 
@@ -179,6 +179,8 @@ class LambdaPoly(DensePoly):
 
     def float_coeffs(self, lam=None):
         """Coefficients as floats; generic mode needs a deformation value."""
+        import numpy as np
+
         if self.generic:
             if lam is None:
                 raise ValueError("generic polynomial needs a deformation value")
@@ -188,6 +190,8 @@ class LambdaPoly(DensePoly):
     def __call__(self, y, lam=None):
         """Float evaluation by plain Horner on ``float_coeffs`` (scalar or
         ndarray y); exact values need ``evaluate_exact``."""
+        import numpy as np
+
         cs = self.float_coeffs(lam)
         if cs.size == 0:
             return np.zeros_like(np.asarray(y, dtype=float)) if np.ndim(y) else 0.0
@@ -372,6 +376,8 @@ class LadderFunction:
     # -- evaluation -------------------------------------------------------
     def __call__(self, y):
         """Float evaluation (scalar or ndarray y)."""
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         if self.lam == 0:
             env = np.exp(-0.5 * y * y)

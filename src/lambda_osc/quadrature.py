@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import all_eigenvalues
+
 # smallest relative tolerance double-precision node doubling can meet
 RTOL_FLOOR = 1e-14
 
@@ -105,19 +107,16 @@ def _leggauss(n: int):
 
     leggauss eigensolves the dense n x n companion matrix (32 MB at 2048
     nodes), which is the Legendre recursion's tridiagonal Jacobi matrix
-    (Golub & Welsch 1969); LAPACK's sterf needs only its off-diagonal,
-    rounded as legcompanion rounds it.  Newton step and weights as leggauss.
+    (Golub & Welsch 1969); LAPACK's sterf (``_lapack.all_eigenvalues``)
+    needs only its off-diagonal, rounded as legcompanion rounds it.
+    Newton step and weights as leggauss.
     """
-    # scipy.linalg is imported on first use, as in sturm_liouville
-    from scipy.linalg import eigvalsh_tridiagonal
-
     leg = np.polynomial.legendre
     c = np.zeros(n + 1)
     c[-1] = 1.0
     scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    x = eigvalsh_tridiagonal(np.zeros(n), off, lapack_driver="sterf",
-                             check_finite=False)
+    x = all_eigenvalues(np.zeros(n), off)
     # improve the roots by one Newton step
     dy = leg.legval(x, c)
     df = leg.legval(x, leg.legder(c))

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import lowest_eigenvalues
+
 # largest grid refine() tries before it raises RefinementError
 GRID_CAP = 1 << 14
 
@@ -49,6 +51,15 @@ def continuum_threshold(lam: float) -> float:
     if not lam > 0:
         raise ValueError("threshold exists only for positive deformation")
     return 0.5 * (1.0 + lam) / lam
+
+
+def bound_levels(lam: float) -> int:
+    """Levels below the plateau at positive deformation, ceil(1/lam):
+    more would be eigenvalues of the truncated continuum."""
+    if not lam > 0:
+        raise ValueError(
+            "the bound levels are finite only for positive deformation")
+    return math.ceil(1.0 / lam)
 
 
 def wall_position(lam: float) -> float:
@@ -106,16 +117,14 @@ def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretiz
 
 
 def eigenvalues(disc: SLDiscretization, k: int) -> np.ndarray:
-    """Lowest k eigenvalues, ascending (deterministic for fixed inputs)."""
-    # scipy.linalg is imported on first use: it is most of the package
-    # import time, and the commands that never solve need none of it
-    from scipy.linalg import eigvalsh_tridiagonal
+    """Lowest k eigenvalues, ascending (deterministic for fixed inputs).
 
+    Raises ValueError for k < 1 (``lowest_eigenvalues`` refuses it before
+    LAPACK sees it), for more levels than the grid resolves, and for a
+    non-finite matrix entry."""
     if k > disc.n - 2:
         raise ValueError(f"requested {k} eigenvalues from a {disc.n}-point grid")
-    return eigvalsh_tridiagonal(
-        disc.diag, disc.offdiag, select="i", select_range=(0, k - 1)
-    )
+    return lowest_eigenvalues(disc.diag, disc.offdiag, k)
 
 
 def default_halfwidth(lam: float, k: int, tail_tol: float = 1e-12) -> float:
@@ -133,7 +142,7 @@ def default_halfwidth(lam: float, k: int, tail_tol: float = 1e-12) -> float:
         e_top = k - 0.5
         return math.sqrt(2.0 * e_top) + math.sqrt(-math.log(tail_tol)) + 4.0
     vmax = continuum_threshold(lam)
-    m_top = min(k - 1, math.ceil(1.0 / lam) - 1)
+    m_top = min(k, bound_levels(lam)) - 1
     e_top = (m_top + 0.5) - 0.5 * m_top * m_top * lam
     gap = vmax - e_top
     if gap <= 0:
@@ -165,9 +174,18 @@ def refine(
     each doubling removes another power of four per extrapolation column.
     Stops when two successive deepest extrapolants agree within ``tol``
     for every requested level; raises RefinementError past ``GRID_CAP``.
+    Raises ValueError for k < 1 and, at positive deformation, for k above
+    ``bound_levels``.
     """
     if tol < 1e-14:
         raise ValueError("tolerance below attainable floating-point accuracy")
+    if k < 1:
+        raise ValueError(f"k = {k}: at least one level must be requested")
+    if lam > 0 and k > bound_levels(lam):
+        raise ValueError(
+            f"k = {k}: only {bound_levels(lam)} levels are bound at "
+            f"deformation {lam}"
+        )
     if half_width is None and lam >= 0:
         half_width = default_halfwidth(lam, k, tail_tol=min(1e-12, tol * 1e-3))
     levels: list[RefinementLevel] = []

@@ -16,6 +16,10 @@ The classical period probes are independent trajectories, so
 in forked worker processes.  Each worker runs the same stepper on the
 same inputs and the probes are collected in submission order, so the
 records are the same as from one process, bit for bit.
+
+Importing this module loads no numpy: the checks that need numpy, or the
+finite-difference oracle, import them when they run, so the command line
+reads the group names and default deformations without paying for either.
 """
 
 import functools
@@ -24,9 +28,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import classical, factorization, sturm_liouville
+from . import classical, factorization
 from .exact import LamPoly
 from .hermite import (
     generating_coeffs,
@@ -248,6 +250,10 @@ def check_sl_crossval(tol: float = 1e-6,
                       lams=SL_LAMBDAS,
                       m_top: int = 6) -> list[CheckResult]:
     """Refined finite-difference eigenvalues against the closed form."""
+    import numpy as np
+
+    from . import sturm_liouville
+
     out = []
     for lam in lams:
         if lam > 0:
@@ -275,6 +281,8 @@ def check_sl_crossval(tol: float = 1e-6,
 def check_gram(tol: float = 1e-8,
                lams=GRAM_LAMBDAS, m_cap: int = 8) -> list[CheckResult]:
     """Normalized orthogonality of all bound pairs up to an index cap."""
+    import numpy as np
+
     out = []
     for lam in lams:
         g = gram_matrix(lam, max_index=m_cap, rtol=min(tol * 1e-2, 1e-10))
@@ -366,6 +374,8 @@ def _operator_battery(lam: Fraction) -> list[LadderFunction]:
 
 def check_commutator(tol: float = 1e-10, lams=(0.5, -0.5)) -> list[CheckResult]:
     """Closed-form commutator against operator composition at samples."""
+    import numpy as np
+
     out = []
     for lam in lams:
         lam_r = Fraction(lam)
@@ -391,6 +401,8 @@ def check_eigen_equation(tol: float = 1e-9,
                                Fraction(1, 10), Fraction(-1, 10)),
                          points: int = 50) -> list[CheckResult]:
     """Every bound eigenfunction satisfies its equation pointwise."""
+    import numpy as np
+
     out = []
     for lam in lams:
         if lam > 0:
@@ -465,6 +477,8 @@ def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
 def check_small_deformation_continuity(tol: float = 1e-4,
                                        m_top: int = 4) -> list[CheckResult]:
     """Values at deformation +-1e-6 stay near the classical oscillator."""
+    import numpy as np
+
     out = []
     classical_polys = generating_coeffs(m_top, Fraction(0))
     ys = np.linspace(-3.0, 3.0, 25)

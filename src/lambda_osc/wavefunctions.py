@@ -8,14 +8,14 @@ normalization unless a constructor hands in a proportional one.
 Float values run the paper's three-term recursion from psi_0 = envelope:
 no monomial coefficients to cancel, and no overflow in slowly decaying
 tails where the polynomial factor alone is out of float range.
+
+Building a function is exact work and imports no numpy; the float paths
+import numpy, and ``mu_inner`` the quadrature, when they run.
 """
 
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from . import quadrature
 from .exact import exact_rational
 from .hermite import NORM_GENERATING, generating_coeffs, recursion_coeffs
 from .params import classify
@@ -33,6 +33,8 @@ def envelope(y, lam) -> float:
     Near zero deformation the analytically-equal Gaussian limit is used
     to avoid catastrophic cancellation.
     """
+    import numpy as np
+
     lam_f = float(lam)
     y = np.asarray(y, dtype=float)
     if abs(lam_f) < ENVELOPE_SWITCH:
@@ -84,6 +86,8 @@ class WaveFunction:
 
     def _recurse(self, y, psi):
         """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = psi."""
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         if self._coeffs is None:
             a, b = recursion_coeffs(np.arange(self.m), float(self.lam))
@@ -104,6 +108,8 @@ class WaveFunction:
 
     def poly_values(self, y):
         """Polynomial factor alone (scalar or ndarray)."""
+        import numpy as np
+
         seed = np.ones_like(y, dtype=float) if np.ndim(y) else 1.0
         return self._recurse(y, seed)
 
@@ -122,7 +128,7 @@ def evaluate(w: WaveFunction, y: float) -> float:
     a = w.half_width
     if a is not None and not -a < y < a:
         raise ValueError(f"coordinate {y} outside the open domain (+-{a})")
-    return float(w(np.asarray(y, dtype=float)))
+    return float(w(float(y)))
 
 
 def nodes(w: WaveFunction) -> list[float]:
@@ -139,6 +145,8 @@ def nodes(w: WaveFunction) -> list[float]:
     (``wavefunction``, ``factorization.build_state``) only make
     polynomials proportional to it.
     """
+    import numpy as np
+
     a, b = recursion_coeffs(np.arange(w.m), float(w.lam))
     jacobi = np.zeros((w.m, w.m))
     jacobi[range(1, w.m), range(w.m - 1)] = np.sqrt(b[1:] / (a[1:] * a[:-1]))
@@ -153,6 +161,8 @@ def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:
     the constructor already enforces; the truncation half-width comes
     from the combined polynomial degree, the sum of the indices.
     """
+    from . import quadrature
+
     if float(w1.lam) != float(w2.lam):
         raise ValueError("deformation values differ")
     lam = float(w1.lam)
@@ -175,6 +185,8 @@ def gram_matrix(lam, max_index: int | None = None, rtol: float = 1e-10):
     Entries are <psi_i, psi_j> / sqrt(<psi_i,psi_i><psi_j,psi_j>); the
     parity-odd pairs are exact zeros by the symmetric quadrature design.
     """
+    import numpy as np
+
     dp = classify(lam)
     top = max_index
     if dp.n_max is not None:
@@ -197,6 +209,8 @@ def eigen_equation_residual(m: int, lam, ys) -> float:
     (1+lam*y^2) psi'' + lam*y psi' - (1+lam) y^2/(1+lam*y^2) psi + 2e psi = 0
     over the sample points, with derivatives taken analytically on the
     closed z^s * Q family (exact coefficients, float evaluation)."""
+    import numpy as np
+
     lam = exact_rational(lam)
     if lam == 0:
         raise ValueError("use the classical oscillator for zero deformation")

@@ -31,6 +31,12 @@ class TestOrbitParams:
         with pytest.raises(ValueError):
             OrbitParams.from_amplitude(1.5, 1.0, -0.5)  # lam*A^2 <= -1
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        # omega = 0 made the period a division by zero
+        with pytest.raises(ValueError, match="must be positive"):
+            OrbitParams.from_amplitude(1.0, alpha, 0.5)
+
     def test_exact_solution_residual(self):
         # x = A sin(w t + phi) with the constrained frequency solves the
         # equation of motion identically (analytic derivatives)

@@ -190,6 +190,32 @@ class TestImport:
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["False", "False", "False"]
 
+    @staticmethod
+    def loaded_after(argv, modules):
+        """Run one command in a fresh interpreter; which modules it loaded."""
+        src = Path(lambda_osc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = ("import contextlib, io, sys\n"
+                 "from lambda_osc.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = main(sys.argv[2:])\n"
+                 "print(code, *(m for m in sys.argv[1].split(',') "
+                 "if m in sys.modules))")
+        done = subprocess.run(
+            [sys.executable, "-c", probe, ",".join(modules), *argv],
+            env=env, capture_output=True, text=True, check=True)
+        return done.stdout.split()
+
+    @pytest.mark.parametrize("command", ["polys", "ladder", "spectrum",
+                                         "classical"])
+    def test_exact_commands_load_neither_numpy_nor_scipy(self, command):
+        assert self.loaded_after([command], ["numpy", "scipy"]) == ["0"]
+
+    @pytest.mark.parametrize("argv", [["gram"], ["sl"],
+                                      ["wavefn", "--normalized"], ["verify"]])
+    def test_eigensolving_commands_load_no_scipy(self, argv):
+        assert self.loaded_after(argv, ["numpy", "scipy"]) == ["0", "numpy"]
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path, capsys):
@@ -229,6 +255,20 @@ class TestSlCommand:
         assert rec["max_abs_error"] < 1e-6
         assert rec["eigenvalues"] == pytest.approx([0.5, 1.35, 1.9, 2.15],
                                                    abs=1e-6)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "0"], "k = 0: at least one level must be requested"),
+        (["--lambda", "0", "--k", "0"],
+         "k = 0: at least one level must be requested"),
+        (["--lambda", "0.3", "--k", "6"],
+         "k = 6: only 4 levels are bound at deformation 0.3"),
+    ])
+    def test_levels_outside_the_bound_range_refused(self, argv, message,
+                                                    capsys):
+        assert main(["sl", *argv, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestZeroTolerance:
@@ -275,3 +315,9 @@ class TestClassicalCommand:
         assert main(["classical", *probe, "--steps-per-period", "0"]) == 1
         err = capsys.readouterr().err
         assert err == "error: steps_per_period must be positive\n"
+
+    @pytest.mark.parametrize("probe", [[], ["--probe"]])
+    def test_zero_alpha_refused(self, probe, capsys):
+        assert main(["classical", *probe, "--alpha", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: alpha 0.0 must be positive\n"

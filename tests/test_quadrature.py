@@ -173,9 +173,7 @@ class TestRule:
     def test_rule_memory_is_linear_in_nodes(self):
         # the tridiagonal solve keeps O(n) arrays; the dense companion
         # matrix alone would be 134 MB at 4096 nodes
-        import scipy.linalg  # noqa: F401  (its import allocates too)
-
-        _leggauss(16)
+        _leggauss(16)  # loads the LAPACK binding outside the measurement
         tracemalloc.start()
         try:
             _leggauss(4096)

@@ -8,6 +8,7 @@ from lambda_osc.sturm_liouville import (
     GRID_CAP,
     RefinementError,
     assemble,
+    bound_levels,
     continuum_threshold,
     convergence_order,
     default_halfwidth,
@@ -93,6 +94,12 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(d, 63)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_levels_rejected(self, k):
+        d = assemble(0.3, 128, 20.0)
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            eigenvalues(d, k)
+
     def test_deterministic(self):
         d = assemble(0.15, 512, 30.0)
         a = eigenvalues(d, 5)
@@ -113,6 +120,25 @@ class TestRefinement:
     def test_tolerance_guard(self):
         with pytest.raises(ValueError):
             refine(0.3, 2, tol=1e-15)
+
+    @pytest.mark.parametrize("lam", [-0.3, 0.0, 0.3])
+    def test_no_levels_rejected(self, lam):
+        # before the half-width, whose level arithmetic needs k >= 1
+        with pytest.raises(ValueError, match="k = 0"):
+            refine(lam, 0)
+
+    @pytest.mark.parametrize("lam,k", [(0.3, 5), (0.3, 6), (0.15, 8), (0.5, 3)])
+    def test_unbound_levels_rejected(self, lam, k):
+        # above ceil(1/lam) levels the grid returns eigenvalues of the
+        # truncated continuum, which no closed form describes
+        with pytest.raises(ValueError, match=f"k = {k}: only"):
+            refine(lam, k)
+
+    def test_bound_levels_is_the_ceiling(self):
+        assert [bound_levels(lam) for lam in (0.3, 0.15, 0.5, 0.25)] == [
+            4, 7, 2, 4]
+        with pytest.raises(ValueError):
+            bound_levels(0.0)
 
     def test_grid_cap(self):
         # 1e-13 is out of reach, so refinement runs to the cap and reports
