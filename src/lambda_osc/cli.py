@@ -7,7 +7,7 @@ byte-identical files.
 
 numpy and the finite-difference oracle are imported inside the commands
 that use them, so the exact commands (``polys``, ``ladder``,
-``spectrum``, ``classical``) start without numpy.
+``spectrum``, ``potential``, ``classical``) start without numpy.
 """
 
 import argparse
@@ -134,9 +134,19 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_potential(args) -> int:
-    import numpy as np
+def _linspace(start, stop, num):
+    """numpy.linspace(start, stop, num) in plain floats, bit for bit:
+    i*step + start, with the last point set to stop."""
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    step = (stop - start) / (num - 1) if num > 1 else stop - start
+    xs = [i * step + start for i in range(num)]
+    if num > 1:
+        xs[-1] = stop
+    return xs
 
+
+def cmd_potential(args) -> int:
     lams = _lambdas(args, POTENTIAL_LAMBDAS)
     alpha = args.alpha
     rows = []
@@ -144,9 +154,9 @@ def cmd_potential(args) -> int:
         lam = float(lam)
         if lam < 0:
             edge = 1.0 / math.sqrt(-lam)
-            xs = np.linspace(-edge, edge, args.points + 2)[1:-1]
+            xs = _linspace(-edge, edge, args.points + 2)[1:-1]
         else:
-            xs = np.linspace(-args.xmax, args.xmax, args.points)
+            xs = _linspace(-args.xmax, args.xmax, args.points)
         for x in xs:
             v = 0.5 * alpha * alpha * x * x / (1.0 + lam * x * x)
             rows.append((lam, "sample", float(x), float(v)))

@@ -12,6 +12,7 @@ reduced ratio of two ``LamPoly``s, which is what a proportionality
 constant between two polynomial families can turn into in generic mode.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -29,6 +30,13 @@ def exact_rational(x) -> Fraction:
         f"exact arithmetic needs an exact rational, got {type(x).__name__}; "
         "convert floats explicitly, e.g. Fraction(3, 10)"
     )
+
+
+def integer_numerators(coeffs):
+    """Rationals as (integer numerators, one common denominator): the
+    lcm of their denominators, so each kernel runs on plain integers."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class DensePoly:
@@ -91,17 +99,27 @@ class DensePoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a scalar: one product each
+            return self._like([c * other for c in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return self._like(())
-        out = [self._zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        # over the rationals: one integer convolution of the numerators over
+        # each operand's common denominator, then one Fraction per coefficient
+        rational = isinstance(a[0], Fraction)
+        if rational:
+            (a, da), (b, db) = integer_numerators(a), integer_numerators(b)
+        out = [0 if rational else self._zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            for j, y in enumerate(b, i):
+                out[j] = out[j] + x * y
+        if rational:
+            out = [Fraction(c, da * db) for c in out]
         return self._like(out)
 
     __rmul__ = __mul__

@@ -19,7 +19,8 @@ beta = +1 (lower) or -1 (raise) and alpha = b + 2*beta*lam*p; at zero
 deformation the Gaussian's derivative shifts alpha to b - 1 (lower) and
 b + 1 (raise).  Since gcd(z, y) = 1, the result keeps z out of Q whenever
 alpha != 0, so only alpha = 0 (as when lowering a chain ground state)
-divides by z.
+divides by z.  ``build_state`` hands its whole raising chain to the
+kernel in one call.
 """
 
 import math
@@ -71,15 +72,17 @@ def chain_b(k: int, lam) -> Fraction:
     return 1 - k * exact_rational(lam)
 
 
+def _step(op: LadderOperator):
+    """The operator as a (b, beta, ds) step of
+    ``LadderFunction.first_order``."""
+    return op.b, 1 if op.kind == KIND_LOWER else -1, Fraction(-1, 2)
+
+
 def apply(op: LadderOperator, f: LadderFunction) -> LadderFunction:
     """Apply a ladder operator exactly within the closed family."""
     if f.lam != op.lam:
         raise ValueError("operator and function deformation values differ")
-    lam, b, p = op.lam, op.b, f.s
-    sign = 1 if op.kind == KIND_LOWER else -1
-    # at lam = 0 the Gaussian's own derivative adds -y*Q to Q'
-    alpha = b + sign * (2 * lam * p if lam else -1)
-    return f.first_order(alpha, sign, p - Fraction(1, 2))
+    return f.first_order([_step(op)])
 
 
 def ground_function(lam, b=1) -> LadderFunction:
@@ -111,9 +114,9 @@ def build_state(n: int, lam) -> "WaveFunction":
             f"index {n} is not normalizable at deformation {lam} "
             f"(cutoff {dp.cutoff})"
         )
-    f = ground_function(lam, chain_b(n, lam))
-    for k in range(n - 1, -1, -1):
-        f = apply(raising(lam, chain_b(k, lam)), f)
+    f = ground_function(lam, chain_b(n, lam)).first_order(
+        [_step(raising(lam, chain_b(k, lam))) for k in range(n - 1, -1, -1)]
+    )
     poly = f.poly.replace(normalization="ladder", n=n)
     return WaveFunction(n, lam, poly)
 

@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 
 from .exact import LamPoly, exact_rational, simplify_ratio
-from .polynomials import GENERIC, LadderFunction, LambdaPoly, ring_elem
+from .polynomials import (DERIVATIVE, GENERIC, LadderFunction, LambdaPoly,
+                          ring_elem)
 
 NORM_SERIES_EVEN = "series_h1"
 NORM_SERIES_ODD = "series_h2"
@@ -69,9 +70,7 @@ def rodrigues(n: int, lam) -> LambdaPoly:
         )
     shift = 1 / lam + Fraction(1, 2)
     f = LadderFunction(lam, n - shift, LambdaPoly.one(lam))
-    for _ in range(n):
-        f = f.differentiate()
-    f = f.times_z_power(shift)
+    f = f.first_order([DERIVATIVE] * n).times_z_power(shift)
     if n % 2:
         f = f.scale(-1)
     # the exponent must close to a nonnegative integer (zero up to the z
@@ -93,26 +92,37 @@ def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
     The k-th binomial weight of (1 + lam*u)^(1/lam) is the exact product
     (1)(1 - lam)(1 - 2*lam)...(1 - (k-1)*lam) / k!, applied to
     u = 2ty - t^2, so every output coefficient is polynomial in the
-    deformation parameter.
+    deformation parameter.  The products run on integers: in powers of
+    lam (generic mode), or as prod (q - j*p) over q^k at lam = p/q.
     """
     if n_max < 0:
         raise ValueError("index must be nonnegative")
-    L, one = ring_elem(LamPoly.LAM, lam), ring_elem(1, lam)
+    if lam is not GENERIC:
+        lam = exact_rational(lam)
+        p, q = lam.numerator, lam.denominator
+    # weights[k]: prod_{j<k} (1 - j*lam) without its 1/k!, as integer
+    # coefficients in lam (generic) or the integer numerator over q^k
+    weights = [[1] if lam is GENERIC else 1]
+    for j in range(n_max):
+        w = weights[-1]
+        if lam is GENERIC:
+            weights.append([a - j * b for a, b in zip(w + [0], [0] + w)])
+        else:
+            weights.append(w * (q - j * p))
 
     # t^n coefficient of sum_k w_k (2ty - t^2)^k, gathered by powers of y
-    out = []
-    weights = [one]  # w_k * k!-free: product of (1 - j*lam) over j < k, / k!
-    for k in range(1, n_max + 1):
-        weights.append(weights[-1] * (one - L * (k - 1)) * Fraction(1, k))
+    out, zero = [], ring_elem(0, lam)
     for n in range(n_max + 1):
-        coeffs = [ring_elem(0, lam)] * (n + 1)
-        n_fact = math.factorial(n)
+        coeffs = [zero] * (n + 1)
         for k in range((n + 1) // 2, n + 1):
             i = n - k  # power of (-t^2) drawn from (2ty - t^2)^k
-            # y^(k - i) = y^(2k - n): one term per power, so assign
-            coeffs[k - i] = weights[k] * (
-                math.comb(k, i) * (-1) ** i * 2 ** (k - i) * n_fact
-            )
+            # the integer C(k, i) (-1)^i 2^(k-i) n!/k!, n!/k! integral for
+            # k <= n; y^(k - i) = y^(2k - n): one term per power, so assign
+            c = math.comb(k, i) * (-1) ** i * 2 ** (k - i) * math.perm(n, i)
+            if lam is GENERIC:
+                coeffs[k - i] = LamPoly([Fraction(c * a) for a in weights[k]])
+            else:
+                coeffs[k - i] = Fraction(c * weights[k], q**k)
         out.append(
             LambdaPoly(coeffs, lam=lam, normalization=NORM_GENERATING, n=n)
         )

@@ -17,21 +17,23 @@ which is its analytic limit.
 
 Every first-order operator on the family -- d/dy, and the lowering and
 raising operators of ``factorization`` -- is one kernel,
-``LadderFunction.first_order``: z^s (alpha*y*Q + beta*z*Q') in a single
-pass over the coefficients, with the operator picked by (alpha, beta).
-Members are kept canonical (z does not divide Q).  Because gcd(z, y) = 1,
-z divides alpha*y*Q + beta*z*Q' only if alpha = 0 or z divides Q, so a
-result with alpha != 0 is canonical as built; only alpha = 0 goes
-through the long division by z.
+``LadderFunction.first_order``: z^s (alpha*y*Q + beta*z*Q') with the
+operator picked by (alpha, beta), run over a whole chain of operators
+on integer numerators.  Members are kept canonical (z does not divide
+Q).  Because gcd(z, y) = 1, z divides alpha*y*Q + beta*z*Q' only if
+alpha = 0 or z divides Q, so a result with alpha != 0 is canonical as
+built; only alpha = 0 goes through the long division by z.
 
 The exact arithmetic imports no numpy; only the float evaluations do.
 """
 
+import math
 from fractions import Fraction
 
-from .exact import DensePoly, LamPoly, exact_rational
+from .exact import DensePoly, LamPoly, exact_rational, integer_numerators
 
 GENERIC = None  # sentinel for poly.lam in generic mode
+DERIVATIVE = (0, 1, -1)  # d/dy as a (b, beta, ds) step of first_order
 _ZERO = Fraction(0)
 
 
@@ -291,57 +293,73 @@ class LadderFunction:
         return hash((self.lam, self.s, self.poly))
 
     # -- exact operations -----------------------------------------------
-    def first_order(self, alpha, beta, s):
-        """z^s (alpha*y*Q + beta*z*Q') for rationals alpha, beta, in one pass.
+    def first_order(self, steps):
+        """Apply first-order operators in turn, in one integer pass.
 
-        Coefficient k is (alpha + beta*lam*(k-1)) Q_{k-1} + beta*(k+1) Q_{k+1},
-        built from integer numerators over one denominator, so each costs a
-        single ``Fraction`` normalization.  With alpha != 0 the result is
-        canonical as built (see the module docstring).  At lam = 0 (z = 1)
-        the exponent is dropped.
+        Each step (b, beta, ds) maps z^s Q to
+        z^(s+ds) (alpha*y*Q + beta*z*Q') with alpha = b + 2*beta*lam*s
+        (b - beta at lam = 0, from the Gaussian envelope): d/dy is
+        (0, 1, -1).  Coefficient k of the new Q is
+        (alpha + beta*lam*(k-1)) Q_{k-1} + beta*(k+1) Q_{k+1}.  Q stays
+        integer numerators over one common denominator for the whole
+        chain, so the result costs one ``Fraction`` per coefficient.  A
+        step acts on the function, whether or not z divides Q; if every
+        alpha != 0 the result is canonical as built (see the module
+        docstring), else the constructor divides out z once at the end.
+        At lam = 0 (z = 1) the exponent is dropped.
         """
-        lam, s = self.lam, exact_rational(s)
-        alpha, beta = exact_rational(alpha), exact_rational(beta)
-        an, ad = alpha.numerator, alpha.denominator
-        bn, bd = beta.numerator, beta.denominator
+        lam, s = self.lam, self.s
         ln, ld = lam.numerator, lam.denominator
-        # alpha + beta*lam*(k-1) = (a0 + a1*(k-1)) / den1
-        a0, a1, den1 = an * bd * ld, bn * ln * ad, ad * bd * ld
-        bad = bn * ad * ld  # beta*(k+1) = bad*(k+1) / den1
-        nums = [0, 0] + [c.numerator for c in self.poly.coeffs] + [0, 0]
-        dens = [1, 1] + [c.denominator for c in self.poly.coeffs] + [1, 1]
-        out = []
-        for k in range(len(nums) - 3):
-            n1, n2 = nums[k + 1], nums[k + 3]  # Q_{k-1}, Q_{k+1}
-            if not (n1 or n2):
-                out.append(_ZERO)
-                continue
-            d1, d2 = dens[k + 1], dens[k + 3]
-            num = (a0 + a1 * (k - 1)) * n1 * d2 + bad * (k + 1) * n2 * d1
-            out.append(Fraction(num, den1 * d1 * d2))
-        poly = LambdaPoly(out, lam=lam)
-        if lam == 0 or alpha == 0 or poly.is_zero():
-            return LadderFunction(lam, s, poly)  # the constructor divides by z
-        f = object.__new__(LadderFunction)  # already canonical
-        for name, value in (("lam", lam), ("s", s), ("poly", poly)):
-            object.__setattr__(f, name, value)
-        return f
+        nums, den = integer_numerators(self.poly.coeffs)
+        two_lam, canonical = 2 * lam, True
+        for b, beta, ds in steps:
+            alpha = b + beta * (two_lam * s if lam else -1)
+            s += ds
+            canonical = canonical and alpha != 0
+            an, ad = alpha.numerator, alpha.denominator
+            bn, bd = beta.numerator, beta.denominator
+            # alpha + beta*lam*(k-1) = (a0 + a1*(k-1)) / d and
+            # beta*(k+1) = b1*(k+1) / d
+            d = math.lcm(ad, bd * ld)
+            a0, b1 = an * (d // ad), bn * (d // bd)
+            a1 = bn * ln * (d // (bd * ld))
+            q = [0, 0, *nums, 0, 0]  # q[k + 1] = Q_{k-1}, q[k + 3] = Q_{k+1}
+            nums = [
+                (a0 + a1 * (k - 1)) * q[k + 1] + b1 * (k + 1) * q[k + 3]
+                for k in range(len(q) - 3)
+            ]
+            while nums and not nums[-1]:
+                nums.pop()
+            den *= d
+        poly = LambdaPoly([Fraction(c, den) for c in nums], lam=lam)
+        if canonical:
+            return self._canonical(s, poly)
+        return LadderFunction(lam, s, poly)  # the constructor divides by z
 
     def differentiate(self):
         """d/dy [z^s Q] = z^(s-1) (2*lam*s*y*Q + z*Q'); at lam = 0 the
         Gaussian rule Q' - y*Q."""
-        alpha = 2 * self.lam * self.s if self.lam else -1
-        return self.first_order(alpha, 1, self.s - 1)
+        return self.first_order([DERIVATIVE])
 
+    def _canonical(self, s, poly):
+        """z^s * poly for a poly that z does not divide: no division."""
+        f = object.__new__(LadderFunction)
+        if self.lam == 0 or poly.is_zero():
+            s = _ZERO
+        for name, value in (("lam", self.lam), ("s", s), ("poly", poly)):
+            object.__setattr__(f, name, value)
+        return f
+
+    # z^k, y and a scalar leave Q canonical (gcd(z, y) = 1)
     def times_z_power(self, k):
         """Multiply by z^k for rational k (no-op at lam = 0 where z = 1)."""
-        return LadderFunction(self.lam, self.s + Fraction(k), self.poly)
+        return self._canonical(self.s + Fraction(k), self.poly)
 
     def times_y(self):
-        return LadderFunction(self.lam, self.s, self.poly.shift_y())
+        return self._canonical(self.s, self.poly.shift_y())
 
     def scale(self, c):
-        return LadderFunction(self.lam, self.s, self.poly.scale(c))
+        return self._canonical(self.s, self.poly.scale(c))
 
     def __add__(self, other):
         if not isinstance(other, LadderFunction):

@@ -1,13 +1,16 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lambda_osc
-from lambda_osc.cli import main, parse_deformation
+from lambda_osc.cli import _linspace, main, parse_deformation
 from fractions import Fraction
 
 
@@ -104,6 +107,44 @@ class TestPotentialCommand:
         rows = json.loads(out)
         for r in rows:
             assert r["value"] == pytest.approx(0.5 * r["x"] ** 2)
+
+    @pytest.mark.parametrize("start, stop", [
+        (-5.0, 5.0), (-12.5, 12.5), (-1 / math.sqrt(2.0), 1 / math.sqrt(2.0)),
+        (-1 / math.sqrt(0.37), 1 / math.sqrt(0.37)), (-3.3, 0.1),
+    ])
+    def test_samples_are_numpy_linspace_bit_for_bit(self, start, stop):
+        for num in [*range(0, 500), 1001, 4001]:
+            for sl in (slice(None), slice(1, -1)):  # the wall trim of lam < 0
+                ours = _linspace(start, stop, num)[sl]
+                ref = np.linspace(start, stop, num)[sl].tolist()
+                assert list(map(float.hex, ours)) == list(map(float.hex, ref))
+
+    def test_default_output_is_pinned(self, capsys):
+        _, out = run_cli(capsys, "potential")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == (
+            "b006661b30052db29f5ce4fa723824f60010526db39b11ecc240c3115255d5ce")
+
+    def test_zero_points_leave_the_asymptotes(self, capsys):
+        assert run_cli(capsys, "potential", "--points", "0") == (0, (
+            "lambda,kind,x,value\n1.0,asymptote,,0.5\n2.0,asymptote,,0.25\n"))
+
+    def test_one_point_is_the_left_end_or_the_centre(self, capsys):
+        assert run_cli(capsys, "potential", "--points", "1") == (0, (
+            "lambda,kind,x,value\n"
+            "-2.0,sample,0.0,0.0\n"
+            "-1.0,sample,0.0,0.0\n"
+            "1.0,sample,-5.0,0.4807692307692308\n"
+            "1.0,asymptote,,0.5\n"
+            "2.0,sample,-5.0,0.24509803921568626\n"
+            "2.0,asymptote,,0.25\n"))
+
+    def test_negative_point_count_is_an_error(self, capsys):
+        assert main(["potential", "--points", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Number of samples, -1, must be non-negative.\n")
 
 
 class TestPolysCommand:
@@ -207,7 +248,7 @@ class TestImport:
         return done.stdout.split()
 
     @pytest.mark.parametrize("command", ["polys", "ladder", "spectrum",
-                                         "classical"])
+                                         "potential", "classical"])
     def test_exact_commands_load_neither_numpy_nor_scipy(self, command):
         assert self.loaded_after([command], ["numpy", "scipy"]) == ["0"]
 

@@ -13,6 +13,46 @@ from lambda_osc.polynomials import (
 )
 
 
+def dense_product(a, b):
+    """Schoolbook product of two coefficient lists over the rationals."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+class TestProducts:
+    """Scalar products take one product per coefficient and polynomial
+    products one integer convolution; both equal the dense product."""
+
+    p = LamPoly((Fraction(1, 2), 0, Fraction(-3, 4), Fraction(5, 6)))
+    q = LamPoly((Fraction(-2, 9), Fraction(7, 4), Fraction(1, 10)))
+
+    @pytest.mark.parametrize("scalar", [0, 5, -3, Fraction(3, 7),
+                                        Fraction(0), Fraction(-11, 4)])
+    def test_scalar_on_either_side(self, scalar):
+        expect = dense_product(self.p.coeffs, [scalar])
+        for prod in (self.p * scalar, scalar * self.p,
+                     self.p * LamPoly.const(scalar)):
+            assert prod.coeffs == expect
+            assert all(type(c) is Fraction for c in prod.coeffs)
+
+    def test_zero_products_are_stripped(self):
+        assert (self.p * 0).coeffs == ()
+        assert (self.p * LamPoly.ZERO).coeffs == ()
+        assert (0 * self.p).degree == -1
+
+    def test_polynomial_product(self):
+        for a, b in ((self.p, self.q), (self.q, self.p), (self.p, self.p),
+                     (LamPoly((1, 2)), self.q)):
+            prod = a * b
+            assert prod.coeffs == dense_product(a.coeffs, b.coeffs)
+            assert all(type(c) is Fraction for c in prod.coeffs)
+
+
 class TestLamPoly:
     def test_product_expansion(self):
         # (1 - L)(1 - 2L) = 1 - 3L + 2L^2

@@ -6,8 +6,8 @@ import pytest
 
 from lambda_osc import factorization as fac
 from lambda_osc.hermite import generating_coeffs, proportionality, rodrigues
-from lambda_osc.params import PhysicalParams
-from lambda_osc.polynomials import LadderFunction, LambdaPoly
+from lambda_osc.params import PhysicalParams, classify
+from lambda_osc.polynomials import DERIVATIVE, LadderFunction, LambdaPoly
 from lambda_osc.spectrum import chain_parameter, chain_remainder, energy
 from lambda_osc.verification import _operator_battery
 from lambda_osc.wavefunctions import envelope
@@ -103,6 +103,48 @@ class TestCanonicalFirstOrder:
         f = LadderFunction(lam, 0, LambdaPoly((0, 1, 0, lam / 3), lam=lam))
         r = f.differentiate()
         assert (r.s, r.poly) == (1, LambdaPoly.one(lam))
+
+
+# lam = 2/(2m - 1): at lam > 0 the Rodrigues chain reaches s = 0, where
+# alpha = 2*lam*s vanishes and z divides the step's result
+ALPHA_ZERO_LAMS = [Fraction(2 * sign, 2 * m - 1)
+                   for m in range(1, 12) for sign in (1, -1)]
+
+
+class TestFusedChains:
+    """rodrigues and build_state hand their whole chain to one integer
+    pass; it equals the chain of public one-step operators, each of which
+    canonicalizes its own result."""
+
+    @pytest.mark.parametrize("lam", ALPHA_ZERO_LAMS, ids=str)
+    def test_rodrigues_equals_stepwise_derivatives(self, lam):
+        shift = 1 / lam + Fraction(1, 2)
+        alpha_zero_steps = 0
+        for n in range(25):
+            start = LadderFunction(lam, n - shift, LambdaPoly.one(lam))
+            f = start
+            for _ in range(n):
+                alpha_zero_steps += f.s == 0 and not f.is_zero()
+                f = f.differentiate()
+            fused = start.first_order([DERIVATIVE] * n)
+            rebuilt = LadderFunction(lam, fused.s, fused.poly)
+            assert (fused.s, fused.poly) == (rebuilt.s, rebuilt.poly)
+            assert (fused.s, fused.poly) == (f.s, f.poly)
+            f = f.times_z_power(shift).scale((-1) ** n)
+            poly = f.poly
+            for _ in range(int(f.s)):
+                poly = poly.times_z()
+            assert rodrigues(n, lam).coeffs == poly.coeffs
+        assert (alpha_zero_steps > 0) == (lam > 0)
+
+    @pytest.mark.parametrize("lam", ALPHA_ZERO_LAMS, ids=str)
+    def test_build_state_equals_stepwise_raising(self, lam):
+        n_max = classify(lam).n_max
+        for n in range(1 + (24 if n_max is None else min(24, n_max))):
+            f = fac.ground_function(lam, fac.chain_b(n, lam))
+            for k in range(n - 1, -1, -1):
+                f = fac.apply(fac.raising(lam, fac.chain_b(k, lam)), f)
+            assert fac.build_state(n, lam).poly.coeffs == f.poly.coeffs
 
 
 class TestGaussianRules:

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,8 @@ from lambda_osc.verification import (
     reference_generating_table,
     reference_rodrigues_table,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def classical_hermite_oracle(n_max):
@@ -202,6 +207,41 @@ class TestThreeTermRecursion:
             three_term_next(series_solution(1), h[0], 1)
 
 
+def _golden_lambdas():
+    rows = json.loads((GOLDEN / "exact_high_degree.json").read_text())
+    return sorted({Fraction(r["lam"]) for r in rows})
+
+
+class TestRecursionGroup:
+    """The three-term chain from h_0 and h_1 rebuilds the generating family,
+    which satisfies the derivative recursion at every index."""
+
+    @staticmethod
+    def chain(family):
+        h = list(family[:2])
+        for n in range(1, len(family) - 1):
+            h.append(three_term_next(h[n], h[n - 1], n))
+        return h
+
+    @pytest.mark.parametrize(
+        "lam, n_max",
+        [(GENERIC, 44), (Fraction(1, 3), 60)]
+        + [(lam, 60) for lam in _golden_lambdas()],
+        ids=lambda v: "generic" if v is GENERIC else str(v),
+    )
+    def test_chain_equals_generating_route(self, lam, n_max):
+        family = generating_coeffs(n_max, lam)
+        assert self.chain(family) == family
+        assert all(derivative_relation_check(family, n)
+                   for n in range(n_max - 1))
+
+    def test_degree_drops_at_one_third(self):
+        # the binomial weights vanish from k = 4 on, so h_n keeps only the
+        # terms y^(2k - n) with n/2 <= k <= 3: degree 6 - n, then zero
+        family = generating_coeffs(60, Fraction(1, 3))
+        assert [h.degree for h in family] == [0, 1, 2, 3, 2, 1, 0] + [-1] * 54
+
+
 class TestDerivativeRelation:
     def test_base_case_generic(self):
         assert derivative_relation_check(generating_coeffs(2), 0)
@@ -253,6 +293,45 @@ class TestProportionality:
         assert proportionality(z, p) == 0
         assert proportionality(p, z) is None
         assert proportionality(z, z) == 1
+
+
+class TestIntegerPaths:
+    """The integer kernels hand back the same ring elements, of the same
+    types, as the Fraction arithmetic they replace."""
+
+    @pytest.mark.parametrize("lam", [
+        Fraction(0), Fraction(1, 3), Fraction(-2, 7), Fraction(3, 151),
+        Fraction(-9, 10), Fraction(7, 2)], ids=str)
+    def test_generic_family_specialises_to_the_fixed_one(self, lam):
+        generic, fixed = generating_coeffs(30), generating_coeffs(30, lam)
+        for m in range(31):
+            assert generic[m].substitute_lambda(lam) == fixed[m]
+
+    def test_fixed_coefficients_are_fractions(self):
+        lam = Fraction(-2, 7)
+        polys = generating_coeffs(12, lam) + [
+            f(n, lam) for f in (series_solution, rodrigues) for n in range(13)]
+        for p in polys:
+            assert all(type(c) is Fraction for c in p.coeffs)
+
+    def test_generic_coefficients_are_lampolys_of_fractions(self):
+        polys = generating_coeffs(12) + [series_solution(n) for n in range(13)]
+        for p in polys:
+            for c in p.coeffs:
+                assert type(c) is LamPoly
+                assert all(type(a) is Fraction for a in c.coeffs)
+
+    def test_generic_series_constants_are_pinned(self):
+        family = generating_coeffs(44)
+        consts = [proportionality(series_solution(n), family[n])
+                  for n in range(45)]
+        assert [type(c) for c in consts] == [Fraction] * 3 + [LamRatio] * 42
+        for n, c in enumerate(consts):
+            num, den = (c.num, c.den) if isinstance(c, LamRatio) else (c, 1)
+            assert series_solution(n).scale(den) == family[n].scale(num)
+        text = "\n".join(map(str, consts)).encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == (
+            "54f8c308bc9cc990b5b7298083919b905e9e4e1dd5ff236dad0a5bc1e56f548d")
 
 
 class TestLeadingCoefficient:
