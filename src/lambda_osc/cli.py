@@ -213,9 +213,8 @@ def cmd_wavefn(args) -> int:
 
     lam = _lambdas(args, [0.3])[0]
     dp = classify(lam)
-    ms = args.m if args.m else list(
-        range((dp.n_max if dp.n_max is not None else 3) + 1)
-    )
+    top = 3 if dp.n_max is None else min(dp.n_max, 3)
+    ms = args.m if args.m else list(range(top + 1))
     ws = [wavefunction(m, lam) for m in ms]
     if dp.half_width is not None:
         lo = -0.999 * dp.half_width
@@ -449,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wavefn", help="eigenfunction samples")
     _common_flags(p)
-    p.add_argument("--m", type=int, action="append")
+    p.add_argument("--m", type=int, action="append",
+                   help="index to sample; repeatable (default: 0 to 3, "
+                        "or to the last bound index if that is lower)")
     p.add_argument("--ymin", type=float)
     p.add_argument("--ymax", type=float, default=5.0)
     p.add_argument("--points", type=int, default=201)

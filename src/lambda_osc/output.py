@@ -10,9 +10,10 @@ import math
 
 
 def fmt_float(x) -> str:
-    """Shortest exact decimal for CSV cells."""
+    """Shortest exact decimal for CSV cells; a float subclass (numpy's
+    float64) prints as the plain float it equals."""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 

@@ -1,16 +1,20 @@
 """Eigenfunctions: polynomial factor times the envelope (1+lam*y^2)^(-1/(2 lam)).
 
-Unnormalized functions are the primitive; normalization constants come
-from quadrature against the invariant measure (the convention is unit
-measure-norm).  The polynomial factor uses the generating-function
-normalization unless a constructor hands in a proportional one.
+Unnormalized functions are the primitive.  Normalization constants (the
+convention is unit measure-norm) are closed forms, O(m) float work from
+the three-term recursion and the total mass of the measure; quadrature
+against the measure (``mu_inner``, ``gram_matrix``) is the independent
+oracle that checks them.  The polynomial factor uses the
+generating-function normalization unless a constructor hands in a
+proportional one.
 
 Float values run the paper's three-term recursion from psi_0 = envelope:
 no monomial coefficients to cancel, and no overflow in slowly decaying
 tails where the polynomial factor alone is out of float range.
 
-Building a function is exact work and imports no numpy; the float paths
-import numpy, and ``mu_inner`` the quadrature, when they run.
+Building a function and its norm is exact or scalar work and imports no
+numpy; the float paths import numpy, and ``mu_inner`` the quadrature,
+when they run.
 """
 
 import math
@@ -25,6 +29,17 @@ from .spectrum import energy
 # below this the envelope switches to its analytic limit exp(-y^2/2);
 # the direct power form loses about half the digits as lam -> 0
 ENVELOPE_SWITCH = 1e-8
+
+# from this b on, Gamma(b + 1/2)/Gamma(b) comes from its asymptotic series
+# rather than math.gamma; six terms leave a truncation error below 1e-17
+GAMMA_RATIO_SWITCH = 16.0
+# log(Gamma(b + 1/2)/Gamma(b)) - log(b)/2 = sum_k c_k b^(1-2k), with
+# c_k = -(2 - 2^(1-2k)) B_2k / (2k(2k-1)) (DLMF 5.11.8 at h = 1/2 and 0)
+_GAMMA_RATIO_SERIES = (
+    -1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224
+)
+# a squared norm of 2^2200 or more has a norm constant that rounds to 0.0
+_NORM_EXPONENT_CAP = 2200
 
 
 def envelope(y, lam) -> float:
@@ -67,6 +82,7 @@ class WaveFunction:
         self.deformation = dp
         self._poly = poly
         self._coeffs = None
+        self._scale = None
 
     @property
     def poly(self) -> LambdaPoly:
@@ -84,6 +100,21 @@ class WaveFunction:
     def half_width(self):
         return self.deformation.half_width
 
+    @property
+    def scale(self) -> float:
+        """The polynomial factor over the generating-normalization one: its
+        leading coefficient over prod a_n (1.0 unless a constructor handed
+        in another normalization)."""
+        if self._scale is None:
+            self._scale = 1.0
+            poly = self._poly
+            if poly is not None and poly.normalization != NORM_GENERATING:
+                lead = math.prod(
+                    recursion_coeffs(n, poly.lam)[0] for n in range(self.m)
+                )
+                self._scale = float(poly.coefficient(self.m) / lead)
+        return self._scale
+
     def _recurse(self, y, psi):
         """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = psi."""
         import numpy as np
@@ -91,17 +122,9 @@ class WaveFunction:
         y = np.asarray(y, dtype=float)
         if self._coeffs is None:
             a, b = recursion_coeffs(np.arange(self.m), float(self.lam))
-            scale = 1.0
-            poly = self._poly
-            if poly is not None and poly.normalization != NORM_GENERATING:
-                # leading coefficient over the generating one, prod a_n
-                lead = math.prod(
-                    recursion_coeffs(n, poly.lam)[0] for n in range(self.m)
-                )
-                scale = float(poly.coefficient(self.m) / lead)
-            self._coeffs = a.tolist(), b.tolist(), scale
-        a, b, scale = self._coeffs
-        prev, psi = 0.0, psi * scale
+            self._coeffs = a.tolist(), b.tolist()
+        a, b = self._coeffs
+        prev, psi = 0.0, psi * self.scale
         for a_n, b_n in zip(a, b):
             prev, psi = psi, a_n * y * psi - b_n * prev
         return psi
@@ -174,9 +197,63 @@ def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:
     return quadrature.integrate_measure(lambda y: w1(y) * w2(y), spec)
 
 
-def norm_constant(w: WaveFunction, rtol: float = 1e-10) -> float:
-    """1/sqrt(<w, w>): multiplying by it makes the measure-norm one."""
-    return 1.0 / math.sqrt(mu_inner(w, w, rtol=rtol))
+def measure_mass(lam) -> float:
+    """M_0, the integral of (1 + lam y^2)^(-1/lam - 1/2) over the domain.
+
+    sqrt(pi) at lam = 0; otherwise |lam|^(-1/2) B(1/2, b) =
+    sqrt(pi/|lam|) Gamma(b)/Gamma(b + 1/2) with b = 1/lam for lam > 0 and
+    b = 1/|lam| + 1/2 for lam < 0 (DLMF §5.12).  For large b the ratio
+    comes from its asymptotic series, not from a difference of lgamma
+    values, which would cancel about log10(b log b) digits.
+    """
+    lam = float(lam)
+    if lam == 0:
+        return math.sqrt(math.pi)
+    size = abs(lam)
+    b = 1.0 / size if lam > 0 else 1.0 / size + 0.5
+    if b < GAMMA_RATIO_SWITCH:
+        return math.sqrt(math.pi / size) * math.gamma(b) / math.gamma(b + 0.5)
+    x2 = 1.0 / (b * b)
+    series = 0.0
+    for c in reversed(_GAMMA_RATIO_SERIES):
+        series = series * x2 + c
+    return math.sqrt(math.pi / (size * b)) * math.exp(-series / b)
+
+
+def norm_constant(w: WaveFunction) -> float:
+    """1/sqrt(<w, w>): multiplying by it makes the measure-norm one.
+
+    A closed form in O(m) float work.  In the generating normalization
+
+        <h_m, h_m> = M_0 m! prod_{k<m} (2 - k lam) / (1 - m lam),
+
+    M_0 = ``measure_mass(lam)``: M_0 times the squared leading
+    coefficient prod a_n times the monic recursion's beta_1..beta_m,
+    which telescopes (Golub & Welsch, Math. Comp. 23 (1969) 221).
+    Another normalization multiplies it by ``w.scale`` squared.  The
+    product runs as a mantissa and a binary exponent, so it cannot
+    overflow; on the bound range every factor is at least 1 (the last
+    one carries the 1/(1 - m lam)), so once the exponent passes the cap
+    the constant is 0.0 and the loop stops.
+    """
+    lam = float(w.lam)
+    mant, exp = 1.0, 0
+    for x in (measure_mass(lam), w.scale, w.scale):
+        f, e = math.frexp(x)
+        mant, exp = mant * f, exp + e
+    for k in range(1, w.m + 1):
+        factor = k * (2.0 - (k - 1) * lam)
+        if k == w.m:
+            factor /= 1.0 - k * lam
+        mant *= factor
+        if mant > 1e300:
+            mant, e = math.frexp(mant)
+            exp += e
+            if exp > _NORM_EXPONENT_CAP:
+                return 0.0
+    if exp % 2:
+        mant, exp = mant * 2.0, exp - 1
+    return math.ldexp(1.0 / math.sqrt(mant), -exp // 2)
 
 
 def gram_matrix(lam, max_index: int | None = None, rtol: float = 1e-10):

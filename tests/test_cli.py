@@ -86,6 +86,17 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--lambda", "nan"])
         assert code == 1
 
+    @pytest.mark.parametrize("figure", ["--figure3", "--figure4"])
+    def test_figure_csv_cells_are_plain_floats(self, capsys, figure):
+        # the curve energies are numpy floats; CSV must not spell their type
+        _, out = run_cli(capsys, "spectrum", figure)
+        lines = out.strip().split("\n")
+        curves = [line.split(",") for line in lines if ",curve," in line]
+        assert curves and "np." not in out
+        for lam, _, m, e, spacing, bound in curves:
+            float(lam), float(m), float(e)
+            assert spacing == bound == ""
+
 
 class TestPotentialCommand:
     def test_asymptote_row(self, capsys):
@@ -189,6 +200,30 @@ class TestWavefnCommand:
         assert center["y"] == 0.0
         assert center["psi_0"] == 1.0
 
+    def test_default_indices_stop_at_three(self, capsys):
+        # 10^9 bound states at this deformation; the default samples 0..3
+        code, out = run_cli(capsys, "wavefn", "--normalized", "--lambda",
+                            "1e-9", "--points", "5")
+        assert code == 0
+        assert out.split("\n")[0] == "y,psi_0,psi_1,psi_2,psi_3"
+
+    def test_default_indices_stop_at_the_last_bound_one(self, capsys):
+        _, out = run_cli(capsys, "wavefn", "--lambda", "0.4", "--points", "5")
+        assert out.split("\n")[0] == "y,psi_0,psi_1,psi_2"
+
+    def test_normalized_small_deformation(self, capsys):
+        # the tail of the quadrature oracle diverges here; the closed form
+        # does not need it
+        code, out = run_cli(capsys, "wavefn", "--normalized", "--lambda",
+                            "0.05", "--m", "0", "--points", "3", "--ymax",
+                            "0", "--format", "json")
+        assert code == 0
+        center = json.loads(out)["samples"][0]["psi_0"]
+        # 1/sqrt(M_0), M_0 = sqrt(20) B(1/2, 20) = sqrt(20) 4^20 20! 19!/40!
+        mass = math.sqrt(20) * 4**20 * math.factorial(20) * math.factorial(19)
+        assert center == pytest.approx(
+            (math.factorial(40) / mass) ** 0.5, rel=1e-14)
+
 
 class TestVerifyCommand:
     def test_subset_passes(self, capsys):
@@ -256,6 +291,12 @@ class TestImport:
                                       ["wavefn", "--normalized"], ["verify"]])
     def test_eigensolving_commands_load_no_scipy(self, argv):
         assert self.loaded_after(argv, ["numpy", "scipy"]) == ["0", "numpy"]
+
+    def test_only_the_oracle_loads_quadrature(self):
+        # norms are closed forms; quadrature is the overlap oracle of gram
+        quad = ["lambda_osc.quadrature"]
+        assert self.loaded_after(["wavefn", "--normalized"], quad) == ["0"]
+        assert self.loaded_after(["gram"], quad) == ["0", *quad]
 
 
 class TestDeterminism:

@@ -16,6 +16,13 @@ class TestCsv:
         assert fmt_float(1.35) == "1.35"
         assert fmt_float(7) == "7"
 
+    def test_float_subclass_prints_as_float(self):
+        class Wrapped(float):
+            def __repr__(self):
+                return f"Wrapped({float(self)!r})"
+
+        assert fmt_float(Wrapped(0.5)) == "0.5"
+
 
 class TestJson:
     def test_seventeen_significant_digits(self):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -176,9 +177,9 @@ class TestInnerProducts:
             mu_inner(wavefunction(0, 0.1), wavefunction(0, 0.2))
 
     def test_norm_constant_ignores_earlier_calls(self):
-        # a coarse call first must not leak into the default-tolerance one
+        # a coarse quadrature call first must not leak into the norm
         w = wavefunction(6, 0.1)
-        norm_constant(w, rtol=1e-2)
+        mu_inner(w, w, rtol=1e-2)
         c1 = norm_constant(w)
         assert c1 == norm_constant(wavefunction(6, 0.1))
         assert c1 > 0
@@ -199,6 +200,108 @@ class TestInnerProducts:
         off = np.abs(g - np.eye(n))
         assert np.max(off) <= 1e-8
         assert np.allclose(np.diag(g), 1.0)
+
+
+def _central_binomial_over_4k(k):
+    """C(2k, k) / 4^k as a float, from the exact integer."""
+    c = math.comb(2 * k, k)
+    shift = max(c.bit_length() - 64, 0)
+    return math.ldexp(c >> shift, shift - 2 * k)
+
+
+def _exact_norm_ratio(i, j, lam):
+    """<h_i, h_j> / M_0 as an exact rational, from the moment recursion
+    M_{2J+2} / M_{2J} = (J + 1/2) / (1 - (J + 1) lam) (DLMF 5.12)."""
+    hi, hj = generating_coeffs(i, lam)[i], generating_coeffs(j, lam)[j]
+    moments = [Fraction(1)]
+    for big_j in range((i + j) // 2):
+        moments.append(
+            moments[-1] * (big_j + Fraction(1, 2)) / (1 - (big_j + 1) * lam))
+    return sum(
+        hi.coefficient(k) * hj.coefficient(n) * moments[(k + n) // 2]
+        for k in range(i + 1) for n in range(j + 1) if (k + n) % 2 == 0
+    )
+
+
+def _closed_form_ratio(m, lam):
+    """m! prod_{k<m} (2 - k lam) / (1 - m lam)."""
+    return math.factorial(m) * math.prod(
+        2 - k * lam for k in range(m)) / (1 - m * lam)
+
+
+class TestClosedFormNorms:
+    @pytest.mark.parametrize("lam, m", [
+        (0.3, 2), (-0.3, 3), (0.2, 4), (-0.9, 5), (-0.9, 8), (0.1, 0),
+        (0.1, 6), (1 / 2.25, 2), (1 / 2.1, 2), (1 / 5.3, 5)])
+    def test_agrees_with_quadrature(self, lam, m):
+        w = wavefunction(m, lam)
+        assert norm_constant(w) ** 2 * mu_inner(w, w) == pytest.approx(
+            1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("m, lam", [(3, Fraction(1, 5)),
+                                        (4, Fraction(-3, 7)),
+                                        (2, Fraction(2, 7))])
+    def test_build_state_normalization(self, m, lam):
+        from lambda_osc.factorization import build_state
+
+        w = build_state(m, lam)
+        assert w.scale != 1.0
+        assert norm_constant(w) ** 2 * mu_inner(w, w) == pytest.approx(
+            1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [10, 10**3, 10**5])
+    def test_mass_exact_integer_reference(self, k):
+        # lam = 1/K: M_0 = sqrt(K) B(1/2, K) = sqrt(K) 4^K K!(K-1)!/(2K)!;
+        # lam = -1/K: M_0 = sqrt(K) B(1/2, K + 1/2) = sqrt(K) pi (2K)!/(4^K K!^2)
+        ratio = _central_binomial_over_4k(k)
+        positive = 1 / (math.sqrt(k) * ratio)
+        negative = math.sqrt(k) * math.pi * ratio
+        assert wf.measure_mass(1 / k) == pytest.approx(positive, rel=1e-13)
+        assert wf.measure_mass(-1 / k) == pytest.approx(negative, rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [1e-6, -1e-6, 1e-9, -1e-9])
+    @pytest.mark.parametrize("m", [0, 1, 3, 5])
+    def test_continuous_at_zero_deformation(self, lam, m):
+        hermite = 1 / math.sqrt(2**m * math.factorial(m) * math.sqrt(math.pi))
+        assert norm_constant(wavefunction(m, 0.0)) == pytest.approx(
+            hermite, rel=1e-15)
+        # the closed form moves by about |lam|(1/8 + m + m(m-1)/4)/2
+        got = norm_constant(wavefunction(m, lam))
+        assert abs(got / hermite - 1) <= (1 + m * m) * abs(lam)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.01, 1e-3])
+    def test_small_positive_deformation(self, lam):
+        # the quadrature oracle's truncated tail diverges here
+        n_max = wavefunction(0, lam).deformation.n_max
+        start = time.perf_counter()
+        cs = [norm_constant(wavefunction(m, lam)) for m in range(n_max + 1)]
+        assert time.perf_counter() - start < 1e-3 * len(cs)
+        for m in (0, 1, 5, min(n_max, 60)):
+            want = wf.measure_mass(lam) * _closed_form_ratio(m, lam)
+            assert cs[m] == pytest.approx(1 / math.sqrt(want), rel=1e-12)
+        assert all(c > 0 for c in cs[:61])
+        # at lam = 1e-3 the top norms pass 2^2200 and the constant is 0.0
+        assert (cs[-1] == 0.0) == (lam == 1e-3)
+
+    def test_huge_index_is_bounded_work(self):
+        start = time.perf_counter()
+        assert norm_constant(wavefunction(10**9 - 1, 1e-9)) == 0.0
+        assert time.perf_counter() - start < 0.05
+
+
+class TestExactOrthogonality:
+    @pytest.mark.parametrize("lam, top", [
+        (Fraction(1, 5), 4), (Fraction(2, 7), 3), (Fraction(-3, 7), 8),
+        (Fraction(-1, 3), 8)])
+    def test_gram_is_diagonal_with_closed_form_norms(self, lam, top):
+        assert wavefunction(0, lam).deformation.n_max in (top, None)
+        for i in range(top + 1):
+            for j in range(i, top + 1):
+                value = _exact_norm_ratio(i, j, lam)
+                if i != j:
+                    assert value == 0
+                else:
+                    assert value == _closed_form_ratio(i, lam)
 
 
 class TestEigenEquation:
