@@ -1,10 +1,10 @@
 """Eigenvalues of real symmetric tridiagonal matrices, straight from LAPACK.
 
 Both numeric oracles need one tridiagonal eigensolve: ``quadrature``
-takes every eigenvalue (``dsterf``) for its Gauss-Legendre nodes, and
-``sturm_liouville`` the lowest k by bisection (``dstebz``, range 'I',
-order 'E', abstol 0).  numpy's wheels bundle OpenBLAS with all of LAPACK
-and export these as ``scipy_dsterf_64_`` and ``scipy_dstebz_64_``
+takes every eigenvalue (``dsterf``) for its Gauss-Legendre nodes, as
+``wavefunctions.nodes`` does for the zeros, and ``sturm_liouville`` the
+lowest k by bisection (``dstebz``, range 'I', order 'E', abstol 0).
+numpy's wheels bundle OpenBLAS with all of LAPACK and export these as ``scipy_dsterf_64_`` and ``scipy_dstebz_64_``
 (64-bit integers, Fortran calling convention with hidden string
 lengths), so they are called here through ctypes and scipy is never
 imported.  These are the routines ``scipy.linalg.eigvalsh_tridiagonal``

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import classical, factorization, verification
+from . import classical, verification
 from .hermite import (
     NORM_GENERATING,
     NORM_RODRIGUES,
@@ -27,20 +27,18 @@ from .hermite import (
     series_solution,
 )
 from .output import dumps_json, write_csv
-from .params import PhysicalParams, classify
-from .spectrum import (
-    bound_count,
-    continuous_curve,
-    energies,
-    energy,
-    ladder_energies,
+from .params import classify
+from .spectrum import continuous_curve, energies
+from .verification import (
+    CLASSICAL_LAMBDAS,
+    GRAM_LAMBDAS,
+    SL_LAMBDAS,
+    SPECTRUM_REFERENCE,
 )
-from .verification import CLASSICAL_LAMBDAS, GRAM_LAMBDAS, SL_LAMBDAS
 from .wavefunctions import gram_matrix, norm_constant, wavefunction
 
 # acceptance parameter sets, used as subcommand defaults (the verified
-# ones are owned by the checks)
-SPECTRUM_LAMBDAS = (0.8, 0.4, 0.3)
+# ones, and the spectrum's, are owned by the checks)
 POTENTIAL_LAMBDAS = (-2.0, -1.0, 1.0, 2.0)
 
 
@@ -60,19 +58,21 @@ def parse_deformation(text: str, exact: bool = False):
     return float(s)
 
 
-def _common_flags(p: argparse.ArgumentParser, tol: bool = False):
+def _common_flags(p: argparse.ArgumentParser, tol: bool = False,
+                  table: bool = True):
     p.add_argument(
         "--lambda",
         dest="lam",
         action="append",
         metavar="VALUE",
-        help="deformation parameter; repeatable; accepts 0.3 or 3/10",
+        help="deformation parameter; accepts 0.3 or 3/10; repeatable "
+             "where the command takes several",
     )
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:  # verify always writes JSON
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     if tol:
         p.add_argument("--tol", type=float, help="tolerance override")
-    p.add_argument("--seed", type=int, help="reserved; accepted and unused")
     p.add_argument("--quiet", action="store_true", help="suppress notes")
 
 
@@ -105,11 +105,24 @@ def _lambdas(args, default, exact=False):
     return [parse_deformation(s, exact=exact) for s in args.lam]
 
 
+def _single(values, flag, where):
+    """The one value of a repeatable flag; a second is refused, not dropped."""
+    if len(values) > 1:
+        raise ValueError(f"{where} takes one {flag}, got {len(values)}")
+    return values[0]
+
+
+def _lambda(args, default, exact=False, where=None):
+    """The deformation of a command that takes one (``default`` if none)."""
+    return _single(_lambdas(args, [default], exact=exact), "--lambda",
+                   where or args.command)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_spectrum(args) -> int:
-    lams = _lambdas(args, SPECTRUM_LAMBDAS)
+    lams = _lambdas(args, SPECTRUM_REFERENCE)
     if args.figure3:
         lams = [0.30, 0.15]
     if args.figure4:
@@ -167,16 +180,15 @@ def cmd_potential(args) -> int:
 
 
 def cmd_polys(args) -> int:
-    lam = parse_deformation(args.lam[0], exact=True) if args.lam else None
+    lam = _lambda(args, None, exact=True)
     n_max = args.nmax
+    if not lam and args.normalization == NORM_RODRIGUES:
+        raise ValueError("the derivative route needs a fixed nonzero "
+                         "rational deformation (--lambda)")
+    if not lam and args.ratios:
+        raise ValueError(
+            "ratio table needs a fixed nonzero rational deformation")
     if args.normalization == NORM_RODRIGUES:
-        if lam is None or lam == 0:
-            print(
-                "the derivative route needs a fixed nonzero rational "
-                "deformation (--lambda)",
-                file=sys.stderr,
-            )
-            return 1
         polys = [rodrigues(n, lam) for n in range(n_max + 1)]
     elif args.normalization == "series":
         polys = [series_solution(n, lam) for n in range(n_max + 1)]
@@ -184,12 +196,6 @@ def cmd_polys(args) -> int:
         polys = generating_coeffs(n_max, lam)
     dicts = [p.to_json_dict() for p in polys]
     if args.ratios:
-        if lam is None or lam == 0:
-            print(
-                "ratio table needs a fixed nonzero rational deformation",
-                file=sys.stderr,
-            )
-            return 1
         gen = generating_coeffs(n_max, lam)
         for n, d in enumerate(dicts):
             c = proportionality(polys[n], gen[n])
@@ -211,7 +217,7 @@ def cmd_polys(args) -> int:
 def cmd_wavefn(args) -> int:
     import numpy as np
 
-    lam = _lambdas(args, [0.3])[0]
+    lam = _lambda(args, 0.3)
     dp = classify(lam)
     top = 3 if dp.n_max is None else min(dp.n_max, 3)
     ms = args.m if args.m else list(range(top + 1))
@@ -224,9 +230,14 @@ def cmd_wavefn(args) -> int:
     if args.ymin is not None:
         lo = args.ymin
     ys = np.linspace(lo, hi, args.points)
-    cols = [w(ys) for w in ws]
-    if args.normalized:
-        cols = [c * norm_constant(w) for w, c in zip(ws, cols)]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        cols = [w(ys) for w in ws]
+        if args.normalized:
+            cols = [c * norm_constant(w) for w, c in zip(ws, cols)]
+    for m, c in zip(ms, cols):
+        if not np.isfinite(c).all():
+            raise ValueError(f"psi_{m} is not finite at deformation {lam}: its "
+                             f"unnormalized values overflow float range")
     rows = [
         (float(y),) + tuple(float(c[i]) for c in cols)
         for i, y in enumerate(ys)
@@ -250,17 +261,13 @@ def cmd_gram(args) -> int:
     for lam in lams:
         g = gram_matrix(float(lam), max_index=args.mmax, rtol=tol)
         n = g.shape[0]
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                rows.append((float(lam), i, j, float(g[i, j])))
-                if i != j:
-                    worst = max(worst, abs(float(g[i, j])))
+        rows.extend((float(lam), i, j, float(g[i, j]))
+                    for i in range(n) for j in range(n))
         report.append(
             {
                 "lambda": float(lam),
                 "size": n,
-                "max_offdiagonal": worst,
+                "max_offdiagonal": verification.max_offdiagonal(g),
                 "matrix": [[float(v) for v in row] for row in g],
             }
         )
@@ -269,19 +276,14 @@ def cmd_gram(args) -> int:
 
 
 def cmd_sl(args) -> int:
-    from . import sturm_liouville
-
     lams = _lambdas(args, SL_LAMBDAS)
     tol = 1e-6 if args.tol is None else args.tol
     rows = []
     report = []
     for lam in lams:
         lam = float(lam)
-        k = args.k
-        if k is None:
-            k = bound_count(lam) if lam > 0 else 7
-        vals, levels = sturm_liouville.refine(lam, k, tol=tol)
-        exact = [float(energy(lam, m)) for m in range(k)]
+        k, vals, levels, exact, dev = verification.sl_comparison(
+            lam, args.k, tol)
         for lv in levels:
             for m in range(k):
                 rows.append(
@@ -300,9 +302,7 @@ def cmd_sl(args) -> int:
                 "levels": k,
                 "eigenvalues": [float(v) for v in vals],
                 "closed_form": exact,
-                "max_abs_error": max(
-                    abs(v - e) for v, e in zip(vals, exact)
-                ),
+                "max_abs_error": dev,
                 "grids": [
                     {"n": lv.n, "error_estimate": lv.error_estimate}
                     for lv in levels
@@ -315,77 +315,50 @@ def cmd_sl(args) -> int:
 
 
 def cmd_ladder(args) -> int:
-    lam = parse_deformation(args.lam[0] if args.lam else "3/10", exact=True)
+    lam = _lambda(args, Fraction(3, 10), exact=True)
     dp = classify(lam)
     n_max = args.nmax
     if n_max is None:
         n_max = dp.n_max if dp.n_max is not None else 8
-    p = PhysicalParams(m=Fraction(1), alpha=Fraction(1), hbar=Fraction(1), lam=lam)
-    chain = ladder_energies(p, n_max)
-    gen = generating_coeffs(n_max, lam)
-    rows = []
-    for n in range(n_max + 1):
-        e_closed = energy(lam, n)
-        st = factorization.build_state(n, lam)
-        ratio = proportionality(st.poly, gen[n])
-        rows.append(
-            (
-                n,
-                float(chain[n]),
-                float(e_closed),
-                chain[n] + Fraction(1, 2) == e_closed,
-                str(ratio),
-            )
-        )
+    chain = verification.ladder_chain(lam, n_max)
+    ratios = verification.ladder_ratios(lam, n_max)
+    rows = [
+        (n, float(e_chain), float(e_closed), match, str(ratio))
+        for n, ((e_chain, e_closed, match), ratio)
+        in enumerate(zip(chain, ratios))
+    ]
     header = ["n", "chain_energy", "full_energy", "exact_match", "poly_ratio"]
     _emit(args, header, rows)
     return 0
 
 
 def cmd_classical(args) -> int:
-    lams = _lambdas(args, CLASSICAL_LAMBDAS)
-    amps = args.amplitude or ([0.5, 1.0] if args.probe else [1.0])
     periods = args.periods
-    if periods is None:
-        periods = 100 if args.probe else 3
     if args.probe:
-        rows = []
-        for lam in lams:
-            for amp in amps:
-                probe = classical.measure_period(
-                    args.alpha, float(lam), amp,
-                    n_periods=periods,
-                    steps_per_period=args.steps_per_period,
-                )
-                expected = classical.OrbitParams.from_amplitude(
-                    amp, args.alpha, float(lam)
-                ).period
-                rows.append(
-                    (
-                        float(lam),
-                        amp,
-                        probe.period,
-                        expected,
-                        abs(probe.period - expected) / expected,
-                        probe.max_rel_energy_drift,
-                    )
-                )
+        lams = [float(lam) for lam in _lambdas(args, CLASSICAL_LAMBDAS)]
+        probes = verification.period_probes(
+            lams, args.amplitude or [0.5, 1.0], args.alpha,
+            100 if periods is None else periods, args.steps_per_period)
+        rows = [(lam, amp, probe.period, law, rel, probe.max_rel_energy_drift)
+                for lam, amp, probe, law, rel in probes]
         header = [
             "lambda", "amplitude", "measured_period", "law_period",
             "rel_period_error", "max_rel_energy_drift",
         ]
         _emit(args, header, rows)
         return 0
+    where = "classical without --probe"
+    lam = float(_lambda(args, CLASSICAL_LAMBDAS[0], where=where))
+    amp = _single(args.amplitude or [1.0], "--amplitude", where)
     if args.steps_per_period < 1:
         raise ValueError("steps_per_period must be positive")
-    lam = float(lams[0])
-    orbit = classical.OrbitParams.from_amplitude(amps[0], args.alpha, lam)
+    orbit = classical.OrbitParams.from_amplitude(amp, args.alpha, lam)
     h = orbit.period / args.steps_per_period
     traj = classical.integrate(
-        classical.ClassicalState(amps[0], 0.0),
+        classical.ClassicalState(amp, 0.0),
         args.alpha,
         lam,
-        periods * orbit.period,
+        (3 if periods is None else periods) * orbit.period,
         h,
         sample_every=args.sample_every,
     )
@@ -486,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
-    _common_flags(p, tol=True)
+    _common_flags(p, tol=True, table=False)
     for name in verification.ALL_CHECKS:
         p.add_argument(f"--{name}", action="store_true",
                        help=f"run only the {name} checks (combinable)")

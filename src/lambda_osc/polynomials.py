@@ -179,22 +179,21 @@ class LambdaPoly(DensePoly):
             n=self.n,
         )
 
-    def float_coeffs(self, lam=None):
-        """Coefficients as floats; generic mode needs a deformation value."""
+    def float_coeffs(self):
+        """Coefficients as floats (fixed mode; a generic polynomial is
+        specialised first with ``substitute_lambda``)."""
         import numpy as np
 
         if self.generic:
-            if lam is None:
-                raise ValueError("generic polynomial needs a deformation value")
-            return np.array([c(float(lam)) for c in self.coeffs], dtype=float)
+            raise ValueError("generic polynomial needs a deformation value")
         return np.array([float(c) for c in self.coeffs], dtype=float)
 
-    def __call__(self, y, lam=None):
+    def __call__(self, y):
         """Float evaluation by plain Horner on ``float_coeffs`` (scalar or
         ndarray y); exact values need ``evaluate_exact``."""
         import numpy as np
 
-        cs = self.float_coeffs(lam)
+        cs = self.float_coeffs()
         if cs.size == 0:
             return np.zeros_like(np.asarray(y, dtype=float)) if np.ndim(y) else 0.0
         return np.polynomial.polynomial.polyval(y, cs)

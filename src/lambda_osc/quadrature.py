@@ -25,6 +25,10 @@ from ._lapack import all_eigenvalues
 
 # smallest relative tolerance double-precision node doubling can meet
 RTOL_FLOOR = 1e-14
+# node doubling starts from this rule and raises NonConvergenceError
+# rather than go past the cap
+START_NODES = 32
+NODE_CAP = 1 << 15
 
 _NODE_CACHE: dict[int, tuple] = {}
 
@@ -57,14 +61,10 @@ class QuadratureSpec:
     """
 
     lam: float
-    nodes: int = 32
     half_width: float = 0.0
     rtol: float = 1e-10
-    node_cap: int = 1 << 15
 
     def __post_init__(self):
-        if self.nodes < 8:
-            raise ValueError("at least 8 nodes")
         check_rtol(self.rtol)
         if not self.lam < 0 and not self.half_width > 0:
             raise ValueError("positive truncation half-width required")
@@ -196,7 +196,7 @@ def integrate_measure(f, spec: QuadratureSpec) -> float:
         else:
             transformed = f
 
-    n = spec.nodes
+    n = START_NODES
     prev = None
     while True:
         est, est_abs, edge = _estimate(transformed, half_len, n)
@@ -208,7 +208,7 @@ def integrate_measure(f, spec: QuadratureSpec) -> float:
             )
         if prev is not None and abs(est - prev) <= spec.rtol * scale:
             return est
-        if 2 * n > spec.node_cap:
+        if 2 * n > NODE_CAP:
             raise NonConvergenceError(
                 f"no convergence with {n} nodes "
                 f"(last {est:.17g}, previous {prev!r})",

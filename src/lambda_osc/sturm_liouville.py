@@ -22,7 +22,9 @@ import numpy as np
 
 from ._lapack import lowest_eigenvalues
 
-# largest grid refine() tries before it raises RefinementError
+# first grid of refine() and convergence_order(); refine() doubles it up
+# to GRID_CAP and then raises RefinementError
+GRID_START = 512
 GRID_CAP = 1 << 14
 
 
@@ -166,7 +168,6 @@ def refine(
     k: int,
     tol: float = 1e-8,
     half_width: float | None = None,
-    n0: int = 512,
 ) -> tuple[np.ndarray, list[RefinementLevel]]:
     """Eigenvalues refined by Richardson extrapolation over grid doublings.
 
@@ -190,7 +191,7 @@ def refine(
         half_width = default_halfwidth(lam, k, tail_tol=min(1e-12, tol * 1e-3))
     levels: list[RefinementLevel] = []
     table: list[list[np.ndarray]] = []  # triangular Richardson tableau
-    n = n0
+    n = GRID_START
     prev_best = None
     while n <= GRID_CAP:
         raw = eigenvalues(assemble(lam, n, half_width), k)
@@ -223,13 +224,11 @@ def refine(
     )
 
 
-def convergence_order(lam: float, m: int, n0: int = 512,
-                      half_width: float | None = None) -> float:
+def convergence_order(lam: float, m: int) -> float:
     """Observed order from three raw grids (expected close to 2)."""
-    if half_width is None and lam >= 0:
-        half_width = default_halfwidth(lam, m + 1)
+    half_width = default_halfwidth(lam, m + 1) if lam >= 0 else None
     e = [
         eigenvalues(assemble(lam, n, half_width), m + 1)[m]
-        for n in (n0, 2 * n0, 4 * n0)
+        for n in (GRID_START, 2 * GRID_START, 4 * GRID_START)
     ]
     return math.log2(abs((e[0] - e[1]) / (e[1] - e[2])))

@@ -11,11 +11,14 @@ published constants k_i and g_i with their bracket polynomials), not
 from any construction route, so they are independent oracles for all
 three routes.
 
-The classical period probes are independent trajectories, so
-``check_classical`` fans them out over the CPUs this process may use,
-in forked worker processes.  Each worker runs the same stepper on the
-same inputs and the probes are collected in submission order, so the
-records are the same as from one process, bit for bit.
+The comparisons that the table commands print too (``sl_comparison``,
+``max_offdiagonal``, ``ladder_chain``, ``ladder_ratios``,
+``period_probes``) live here once.  The classical period probes are
+independent trajectories, so ``period_probes`` fans them out over the
+CPUs this process may use, in forked worker processes.  Each worker runs
+the same stepper on the same inputs and the probes are collected in
+submission order, so the results are the same as from one process, bit
+for bit.
 
 Importing this module loads no numpy: the checks that need numpy, or the
 finite-difference oracle, import them when they run, so the command line
@@ -155,8 +158,7 @@ def reference_generating_table(lam=GENERIC) -> list[LambdaPoly]:
 # -- checks -------------------------------------------------------------------
 
 
-def check_polynomial_tables(rodrigues_lams=(Fraction(1, 5), Fraction(-1, 5),
-                                            Fraction(1, 3))) -> list[CheckResult]:
+def check_polynomial_tables() -> list[CheckResult]:
     """Exact reproduction of the published tables by both routes."""
     out = []
     gen = generating_coeffs(6)
@@ -165,7 +167,7 @@ def check_polynomial_tables(rodrigues_lams=(Fraction(1, 5), Fraction(-1, 5),
         1 for n in range(7) if gen[n].coeffs != ref[n].coeffs
     )
     out.append(_record("generating_table", {"mode": "generic"}, mism, 0))
-    for lam in rodrigues_lams:
+    for lam in (Fraction(1, 5), Fraction(-1, 5), Fraction(1, 3)):
         ref_r = reference_rodrigues_table(lam)
         mism = sum(
             1
@@ -178,13 +180,12 @@ def check_polynomial_tables(rodrigues_lams=(Fraction(1, 5), Fraction(-1, 5),
     return out
 
 
-def check_route_equivalence(n_max: int = 12,
-                            lams=(Fraction(1, 10), Fraction(-1, 10),
-                                  Fraction(3, 10), Fraction(-3, 10),
-                                  Fraction(1, 7))) -> list[CheckResult]:
+def check_route_equivalence() -> list[CheckResult]:
     """All three routes pairwise proportional with a nonzero scalar."""
     out = []
-    for lam in lams:
+    n_max = 12
+    for lam in (Fraction(1, 10), Fraction(-1, 10), Fraction(3, 10),
+                Fraction(-3, 10), Fraction(1, 7)):
         gen = generating_coeffs(n_max, lam)
         bad = 0
         for n in range(n_max + 1):
@@ -205,7 +206,8 @@ def check_route_equivalence(n_max: int = 12,
     return out
 
 
-_SPECTRUM_REFERENCE = {
+# published bound levels (the deformations are the spectrum defaults)
+SPECTRUM_REFERENCE = {
     0.8: [0.5, 1.1],
     0.4: [0.5, 1.3, 1.7],
     0.3: [0.5, 1.35, 1.90, 2.15],
@@ -215,7 +217,7 @@ _SPECTRUM_REFERENCE = {
 def check_spectrum_values(tol: float = 1e-12) -> list[CheckResult]:
     """Closed-form energies against the published bound-level values."""
     out = []
-    for lam, ref in _SPECTRUM_REFERENCE.items():
+    for lam, ref in SPECTRUM_REFERENCE.items():
         table = energies(lam, len(ref) - 1)
         dev = max(
             abs(lv.e - r) for lv, r in zip(table.levels, ref)
@@ -246,23 +248,28 @@ def check_bound_counts() -> list[CheckResult]:
     return [_record("bound_counts", {}, mism, 0)]
 
 
-def check_sl_crossval(tol: float = 1e-6,
-                      lams=SL_LAMBDAS,
-                      m_top: int = 6) -> list[CheckResult]:
-    """Refined finite-difference eigenvalues against the closed form."""
-    import numpy as np
+def sl_comparison(lam: float, k: int | None, tol: float):
+    """The lowest k levels (None: every bound one for lam > 0, else 7)
+    refined to ``tol``, against the closed form: (k, eigenvalues,
+    refinement levels, closed-form energies, largest absolute deviation)."""
+    from . import sturm_liouville
 
+    if k is None:
+        k = bound_count(lam) if lam > 0 else 7
+    vals, levels = sturm_liouville.refine(lam, k, tol=tol)
+    exact = [float(energy(lam, m)) for m in range(k)]
+    dev = max(abs(v - e) for v, e in zip(vals, exact))
+    return k, vals, levels, exact, dev
+
+
+def check_sl_crossval(tol: float = 1e-6,
+                      lams=SL_LAMBDAS) -> list[CheckResult]:
+    """Refined finite-difference eigenvalues against the closed form."""
     from . import sturm_liouville
 
     out = []
     for lam in lams:
-        if lam > 0:
-            k = bound_count(lam)
-        else:
-            k = m_top + 1
-        vals, _levels = sturm_liouville.refine(lam, k, tol=tol)
-        exact = np.array([float(energy(lam, m)) for m in range(k)])
-        dev = float(np.max(np.abs(vals - exact)))
+        k, *_, dev = sl_comparison(lam, None, tol)
         out.append(
             _record("sl_eigenvalues", {"lambda": lam, "levels": k}, dev, tol)
         )
@@ -278,34 +285,51 @@ def check_sl_crossval(tol: float = 1e-6,
     return out
 
 
-def check_gram(tol: float = 1e-8,
-               lams=GRAM_LAMBDAS, m_cap: int = 8) -> list[CheckResult]:
-    """Normalized orthogonality of all bound pairs up to an index cap."""
+def max_offdiagonal(g) -> float:
+    """Largest |entry| off the diagonal of a normalized Gram matrix (its
+    diagonal is exactly one)."""
     import numpy as np
 
+    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+
+
+def check_gram(tol: float = 1e-8, lams=GRAM_LAMBDAS) -> list[CheckResult]:
+    """Normalized orthogonality of all bound pairs up to index 8."""
     out = []
     for lam in lams:
-        g = gram_matrix(lam, max_index=m_cap, rtol=min(tol * 1e-2, 1e-10))
-        off = g - np.eye(g.shape[0])
-        dev = float(np.max(np.abs(off)))
+        g = gram_matrix(lam, max_index=8, rtol=min(tol * 1e-2, 1e-10))
         out.append(
             _record("gram_offdiagonal", {"lambda": lam, "size": g.shape[0]},
-                    dev, tol)
+                    max_offdiagonal(g), tol)
         )
     return out
+
+
+def ladder_ratios(lam: Fraction, n_max: int) -> list:
+    """``build_state(n, lam)`` over the generating-route h_n, n = 0..n_max
+    (None where they are not proportional)."""
+    gen = generating_coeffs(n_max, lam)
+    return [
+        proportionality(factorization.build_state(n, lam).poly, gen[n])
+        for n in range(n_max + 1)
+    ]
+
+
+def ladder_chain(lam: Fraction, n_max: int) -> list[tuple]:
+    """(chain energy, closed-form energy, chain + 1/2 == closed form) for
+    n = 0..n_max, all exact."""
+    p = PhysicalParams(m=Fraction(1), alpha=Fraction(1), hbar=Fraction(1),
+                       lam=lam)
+    closed = [energy(lam, n) for n in range(n_max + 1)]
+    chain = ladder_energies(p, n_max)
+    return [(c, e, c + Fraction(1, 2) == e) for c, e in zip(chain, closed)]
 
 
 def check_ladder(n_max: int = 8) -> list[CheckResult]:
     """Exact rational-mode ladder checks."""
     out = []
     lam = Fraction(1, 10)
-    gen = generating_coeffs(n_max, lam)
-    bad = 0
-    for n in range(n_max + 1):
-        st = factorization.build_state(n, lam)
-        c = proportionality(st.poly, gen[n])
-        if c is None or c == 0:
-            bad += 1
+    bad = sum(not c for c in ladder_ratios(lam, n_max))
     out.append(
         _record("ladder_proportionality", {"lambda": str(lam), "n_max": n_max},
                 bad, 0)
@@ -318,15 +342,12 @@ def check_ladder(n_max: int = 8) -> list[CheckResult]:
                 0 if ann.is_zero() else 1, 0)
     )
 
-    bad = 0
-    for lam_r in (Fraction(3, 10), Fraction(-3, 10), Fraction(1, 10),
-                  Fraction(-1, 10), Fraction(1, 20)):
-        p = PhysicalParams(m=Fraction(1), alpha=Fraction(1), hbar=Fraction(1),
-                           lam=lam_r)
-        ladder = ladder_energies(p, 20)
-        for n, e_n in enumerate(ladder):
-            if e_n + Fraction(1, 2) != energy(lam_r, n):
-                bad += 1
+    bad = sum(
+        not match
+        for lam_r in (Fraction(3, 10), Fraction(-3, 10), Fraction(1, 10),
+                      Fraction(-1, 10), Fraction(1, 20))
+        for _chain, _closed, match in ladder_chain(lam_r, 20)
+    )
     out.append(_record("ladder_energies_exact", {"n_max": 20}, bad, 0))
 
     battery = _operator_battery(Fraction(1, 10))
@@ -396,24 +417,22 @@ def check_commutator(tol: float = 1e-10, lams=(0.5, -0.5)) -> list[CheckResult]:
     return out
 
 
-def check_eigen_equation(tol: float = 1e-9,
-                         lams=(Fraction(3, 10), Fraction(-3, 10),
-                               Fraction(1, 10), Fraction(-1, 10)),
-                         points: int = 50) -> list[CheckResult]:
+def check_eigen_equation(tol: float = 1e-9) -> list[CheckResult]:
     """Every bound eigenfunction satisfies its equation pointwise."""
     import numpy as np
 
     out = []
-    for lam in lams:
+    for lam in (Fraction(3, 10), Fraction(-3, 10), Fraction(1, 10),
+                Fraction(-1, 10)):
         if lam > 0:
             top = bound_count(lam) - 1
         else:
             top = 8
         if lam < 0:
             wall = 1.0 / math.sqrt(-float(lam))
-            ys = np.linspace(-0.98 * wall, 0.98 * wall, points)
+            ys = np.linspace(-0.98 * wall, 0.98 * wall, 50)
         else:
-            ys = np.linspace(-4.0, 4.0, points)
+            ys = np.linspace(-4.0, 4.0, 50)
         dev = max(
             eigen_equation_residual(m, lam, ys) for m in range(top + 1)
         )
@@ -424,26 +443,23 @@ def check_eigen_equation(tol: float = 1e-9,
     return out
 
 
-def _probe(case, n_periods, steps_per_period):
-    """One (lambda, amplitude) period probe; module level so a worker
-    process can unpickle it."""
+def _probe(case, alpha, n_periods, steps_per_period):
+    """One period probe, the law's period and the relative error against
+    it; module level so a worker process can unpickle it."""
     lam, amp = case
-    return classical.measure_period(1.0, lam, amp, n_periods=n_periods,
-                                    steps_per_period=steps_per_period)
+    probe = classical.measure_period(alpha, lam, amp, n_periods=n_periods,
+                                     steps_per_period=steps_per_period)
+    law = classical.OrbitParams.from_amplitude(amp, alpha, lam).period
+    return probe, law, abs(probe.period - law) / law
 
 
-def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
-                    lams=CLASSICAL_LAMBDAS,
-                    amplitudes=(0.5, 1.0),
-                    n_periods: int = 100,
-                    steps_per_period: int = 10_000) -> list[CheckResult]:
-    """Measured period against the amplitude-frequency law, plus drift.
-
-    The probes are independent, so they run in forked worker processes,
-    one per usable CPU, and come back in submission order.
-    """
+def period_probes(lams, amplitudes, alpha: float, n_periods: int,
+                  steps_per_period: int) -> list[tuple]:
+    """(lambda, amplitude, PeriodProbe, law period, relative period
+    error) for every lambda by every amplitude, in that order, from forked
+    workers, one per usable CPU."""
     cases = [(lam, amp) for lam in lams for amp in amplitudes]
-    run = functools.partial(_probe, n_periods=n_periods,
+    run = functools.partial(_probe, alpha=alpha, n_periods=n_periods,
                             steps_per_period=steps_per_period)
     workers = min(len(os.sched_getaffinity(0)), len(cases))
     if workers > 1:
@@ -458,10 +474,18 @@ def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
             probes = list(pool.map(run, cases))
     else:
         probes = list(map(run, cases))
+    return [case + probe for case, probe in zip(cases, probes)]
+
+
+def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
+                    lams=CLASSICAL_LAMBDAS,
+                    amplitudes=(0.5, 1.0),
+                    n_periods: int = 100,
+                    steps_per_period: int = 10_000) -> list[CheckResult]:
+    """Measured period against the amplitude-frequency law, plus drift."""
     out = []
-    for (lam, amp), probe in zip(cases, probes):
-        expected = classical.OrbitParams.from_amplitude(amp, 1.0, lam).period
-        rel = abs(probe.period - expected) / expected
+    for lam, amp, probe, _law, rel in period_probes(
+            lams, amplitudes, 1.0, n_periods, steps_per_period):
         out.append(
             _record("classical_period", {"lambda": lam, "amplitude": amp},
                     rel, period_tol)

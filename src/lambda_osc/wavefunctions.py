@@ -166,14 +166,17 @@ def nodes(w: WaveFunction) -> list[float]:
     index the constructor admits.  These are the zeros of the index-m
     family member at float(w.lam); the constructors
     (``wavefunction``, ``factorization.build_state``) only make
-    polynomials proportional to it.
+    polynomials proportional to it.  The matrix is tridiagonal, so LAPACK
+    sterf solves it from its two diagonals in O(m) memory.
     """
+    if w.m == 0:
+        return []
     import numpy as np
 
+    from ._lapack import all_eigenvalues
+
     a, b = recursion_coeffs(np.arange(w.m), float(w.lam))
-    jacobi = np.zeros((w.m, w.m))
-    jacobi[range(1, w.m), range(w.m - 1)] = np.sqrt(b[1:] / (a[1:] * a[:-1]))
-    x = np.linalg.eigvalsh(jacobi)
+    x = all_eigenvalues(np.zeros(w.m), np.sqrt(b[1:] / (a[1:] * a[:-1])))
     return ((x - x[::-1]) / 2).tolist()
 
 

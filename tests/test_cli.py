@@ -175,6 +175,23 @@ class TestPolysCommand:
     def test_rodrigues_requires_fixed_value(self, capsys):
         code = main(["polys", "--normalization", "rodrigues"])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the derivative route needs a fixed nonzero rational "
+            "deformation (--lambda)\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--normalization", "rodrigues", "--lambda", "0"],
+         "the derivative route needs a fixed nonzero rational deformation "
+         "(--lambda)"),
+        (["--ratios"], "ratio table needs a fixed nonzero rational deformation"),
+        (["--ratios", "--lambda", "0"],
+         "ratio table needs a fixed nonzero rational deformation"),
+    ])
+    def test_refusals_are_error_lines(self, argv, message, capsys):
+        assert main(["polys", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_ratio_table(self, capsys):
         _, out = run_cli(capsys, "polys", "--lambda", "1/5", "--normalization",
@@ -185,6 +202,25 @@ class TestPolysCommand:
 
 
 class TestWavefnCommand:
+    @pytest.mark.parametrize("normalized", [[], ["--normalized"]])
+    def test_overflow_is_an_error(self, normalized, capsys):
+        # the recursion leaves float range at this index; RuntimeWarnings
+        # are errors under pytest, so a numpy warning would fail the call
+        assert main(["wavefn", *normalized, "--m", "200", "--lambda",
+                     "-0.5", "--points", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: psi_200 is not finite at deformation -0.5: its "
+            "unnormalized values overflow float range\n")
+
+    def test_last_representable_index_still_samples(self, capsys):
+        code, out = run_cli(capsys, "wavefn", "--normalized", "--m", "150",
+                            "--lambda", "-0.5", "--points", "5")
+        assert code == 0
+        values = [float(line.split(",")[1]) for line in out.split()[1:]]
+        assert len(values) == 5 and all(map(math.isfinite, values))
+
     def test_csv_columns(self, capsys):
         _, out = run_cli(capsys, "wavefn", "--lambda", "0.3", "--m", "0",
                          "--m", "2", "--points", "7")
@@ -338,6 +374,17 @@ class TestSlCommand:
         assert rec["eigenvalues"] == pytest.approx([0.5, 1.35, 1.9, 2.15],
                                                    abs=1e-6)
 
+    def test_error_is_the_verify_metric(self, capsys):
+        # one comparison serves the table and the check
+        from lambda_osc.verification import check_sl_crossval
+
+        _, out = run_cli(capsys, "sl", "--lambda", "0.3", "--format", "json")
+        (rec,) = json.loads(out)
+        (check,) = [r for r in check_sl_crossval(lams=(0.3,))
+                    if r.check == "sl_eigenvalues"]
+        assert rec["max_abs_error"] == check.metric
+        assert rec["levels"] == check.parameters["levels"]
+
     @pytest.mark.parametrize("argv, message", [
         (["--k", "0"], "k = 0: at least one level must be requested"),
         (["--lambda", "0", "--k", "0"],
@@ -365,6 +412,25 @@ class TestZeroTolerance:
         assert "attainable" in err
 
 
+class TestUnreadFlags:
+    # nothing reads a seed, and verify always writes JSON
+    @pytest.mark.parametrize("command", ["spectrum", "potential", "polys",
+                                         "wavefn", "gram", "sl", "ladder",
+                                         "classical", "verify"])
+    def test_seed_refused(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verify_format_refused(self, fmt, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--spectrum", "--format", fmt])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 class TestTolFlag:
     # only the commands that run a tolerance-controlled oracle take --tol
     @pytest.mark.parametrize("command", ["spectrum", "potential", "polys",
@@ -374,6 +440,26 @@ class TestTolFlag:
             main([command, "--tol", "1e-6"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+class TestOneDeformation:
+    # commands that sample one deformation refuse a second, not drop it
+    @pytest.mark.parametrize("argv, where, flag", [
+        (["polys", "--lambda", "1/5", "--lambda", "1/3"], "polys", "--lambda"),
+        (["wavefn", "--lambda", "0.3", "--lambda", "0.4"], "wavefn",
+         "--lambda"),
+        (["ladder", "--lambda", "3/10", "--lambda", "1/10"], "ladder",
+         "--lambda"),
+        (["classical", "--lambda", "0.5", "--lambda", "-0.5"],
+         "classical without --probe", "--lambda"),
+        (["classical", "--amplitude", "1.0", "--amplitude", "0.5"],
+         "classical without --probe", "--amplitude"),
+    ])
+    def test_second_value_refused(self, argv, where, flag, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where} takes one {flag}, got 2\n"
 
 
 class TestClassicalCommand:
@@ -391,6 +477,34 @@ class TestClassicalCommand:
                          "json")
         (rec,) = json.loads(out)
         assert rec["rel_period_error"] < 1e-4
+
+    def test_probe_table_is_the_pooled_check(self, monkeypatch, capsys):
+        # at its defaults --probe runs the check's eight probes, on the
+        # check's worker pool
+        from lambda_osc.verification import check_classical
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(2)))
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        code, out = run_cli(capsys, "classical", "--probe", "--periods", "3",
+                            "--format", "json")
+        assert code == 0
+        assert len(forks) == 2
+        rows = json.loads(out)
+        assert len(rows) == 8
+        records = check_classical(n_periods=3)
+        for row, period, drift in zip(rows, records[::2], records[1::2]):
+            assert period.parameters == drift.parameters == {
+                "lambda": row["lambda"], "amplitude": row["amplitude"]}
+            assert row["rel_period_error"] == period.metric
+            assert row["max_rel_energy_drift"] == drift.metric
 
     @pytest.mark.parametrize("probe", [[], ["--probe"]])
     def test_zero_steps_per_period_refused(self, probe, capsys):

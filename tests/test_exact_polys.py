@@ -228,3 +228,12 @@ class TestLadderFunction:
     def test_generic_mode_rejected(self):
         with pytest.raises(ValueError):
             LadderFunction(Fraction(1, 2), 0, LambdaPoly.one())
+
+
+class TestFloatEvaluation:
+    def test_generic_polynomial_is_specialised_first(self):
+        # float values need a deformation value; substitute_lambda gives one
+        p = LambdaPoly((1, 0, LamPoly.LAM))
+        with pytest.raises(ValueError, match="deformation value"):
+            p(0.5)
+        assert p.substitute_lambda(Fraction(1, 4))(2.0) == 2.0

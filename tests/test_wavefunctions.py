@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,19 @@ class TestEvaluate:
 class TestNodes:
     def test_ground_state_has_none(self):
         assert nodes(wavefunction(0, 0.4)) == []
+
+    def test_memory_is_linear_in_the_index(self):
+        # the tridiagonal solve keeps O(m) arrays; a dense Jacobi matrix
+        # alone would be 128 MB at m = 4000
+        nodes(wavefunction(3, -0.1))  # loads the LAPACK binding first
+        tracemalloc.start()
+        try:
+            got = nodes(wavefunction(4000, -0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 4000
+        assert peak < 2**20
 
     def test_first_excited_origin(self):
         assert nodes(wavefunction(1, -0.7)) == [0.0]
