@@ -36,7 +36,7 @@ _SOURCES = {
     ),
     "params": ("DeformationParam", "PhysicalParams", "classify"),
     "polynomials": ("LadderFunction", "LambdaPoly"),
-    "quadrature": ("QuadratureSpec", "integrate_measure"),
+    "quadrature": ("integrate_measure",),
     "spectrum": (
         "EnergyLevel",
         "SpectrumTable",

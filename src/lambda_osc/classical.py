@@ -74,12 +74,12 @@ class OrbitParams:
         return self.amplitude * math.sin(self.omega * t + self.phase)
 
 
-def energy(state: ClassicalState, alpha: float, lam: float, m: float = 1.0) -> float:
-    """Conserved energy (m/2)(v^2 + alpha^2 x^2)/(1 + lam*x^2)."""
+def energy(state: ClassicalState, alpha: float, lam: float) -> float:
+    """Conserved energy (v^2 + alpha^2 x^2)/(2(1 + lam*x^2)) at unit mass."""
     z = 1.0 + lam * state.x * state.x
     if z <= 0:
         raise ValueError("state outside the domain")
-    return 0.5 * m * (state.v * state.v + alpha * alpha * state.x * state.x) / z
+    return 0.5 * (state.v * state.v + alpha * alpha * state.x * state.x) / z
 
 
 def ode_residual(orbit: OrbitParams, alpha: float, lam: float, t: float) -> float:

@@ -29,16 +29,11 @@ from .hermite import (
 from .output import dumps_json, write_csv
 from .params import classify
 from .spectrum import continuous_curve, energies
-from .verification import (
-    CLASSICAL_LAMBDAS,
-    GRAM_LAMBDAS,
-    SL_LAMBDAS,
-    SPECTRUM_REFERENCE,
-)
+# gram_matrix stays bound here for the perfbench tracer, which looks it up
 from .wavefunctions import gram_matrix, norm_constant, wavefunction
 
 # acceptance parameter sets, used as subcommand defaults (the verified
-# ones, and the spectrum's, are owned by the checks)
+# ones, and the spectrum's, are owned by the checks in verification)
 POTENTIAL_LAMBDAS = (-2.0, -1.0, 1.0, 2.0)
 
 
@@ -58,8 +53,7 @@ def parse_deformation(text: str, exact: bool = False):
     return float(s)
 
 
-def _common_flags(p: argparse.ArgumentParser, tol: bool = False,
-                  table: bool = True):
+def _common_flags(p: argparse.ArgumentParser, table: bool = True):
     p.add_argument(
         "--lambda",
         dest="lam",
@@ -71,8 +65,6 @@ def _common_flags(p: argparse.ArgumentParser, tol: bool = False,
     if table:  # verify always writes JSON
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    if tol:
-        p.add_argument("--tol", type=float, help="tolerance override")
     p.add_argument("--quiet", action="store_true", help="suppress notes")
 
 
@@ -89,7 +81,7 @@ def _emit(args, header, rows, json_obj=None):
     if args.format == "json":
         if json_obj is None:
             json_obj = [dict(zip(header, r)) for r in rows]
-        text = dumps_json(json_obj, indent=2)
+        text = dumps_json(json_obj)
     else:
         buf = io.StringIO()
         write_csv(buf, header, rows)
@@ -122,11 +114,10 @@ def _lambda(args, default, exact=False, where=None):
 
 
 def cmd_spectrum(args) -> int:
-    lams = _lambdas(args, SPECTRUM_REFERENCE)
-    if args.figure3:
-        lams = [0.30, 0.15]
-    if args.figure4:
-        lams = [0.30, -0.30, 0.0]
+    if args.figure and args.lam:
+        raise ValueError("--figure3 and --figure4 draw fixed deformations "
+                         "and take no --lambda")
+    lams = args.figure or _lambdas(args, verification.SPECTRUM_REFERENCE)
     rows = []
     for lam in lams:
         dp = classify(lam)
@@ -136,7 +127,7 @@ def cmd_spectrum(args) -> int:
         table = energies(lam, m_max)
         for m, e, spacing, bound in table.rows():
             rows.append((float(lam), "level", float(m), e, spacing, bound))
-        if args.figure3 or args.figure4:
+        if args.figure:
             import numpy as np
 
             top = (1.0 / lam * 1.6) if lam > 0 else (m_max + 0.5)
@@ -222,13 +213,16 @@ def cmd_wavefn(args) -> int:
     top = 3 if dp.n_max is None else min(dp.n_max, 3)
     ms = args.m if args.m else list(range(top + 1))
     ws = [wavefunction(m, lam) for m in ms]
-    if dp.half_width is not None:
-        lo = -0.999 * dp.half_width
-        hi = 0.999 * dp.half_width
-    else:
-        lo, hi = -args.ymax, args.ymax
-    if args.ymin is not None:
-        lo = args.ymin
+    wall = dp.half_width
+    hi = args.ymax
+    if hi is None:
+        hi = 5.0 if wall is None else 0.999 * wall
+    lo = -hi if args.ymin is None else args.ymin
+    if wall is not None:  # every sample lies between lo and hi
+        for flag, y in (("--ymax", hi), ("--ymin", lo)):
+            if not -wall < y < wall:
+                raise ValueError(f"{flag} {y} lies outside the walls at "
+                                 f"+-{wall} of deformation {lam}")
     ys = np.linspace(lo, hi, args.points)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         cols = [w(ys) for w in ws]
@@ -254,12 +248,11 @@ def cmd_wavefn(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    lams = _lambdas(args, GRAM_LAMBDAS)
-    tol = 1e-10 if args.tol is None else args.tol
+    lams = _lambdas(args, verification.GRAM_LAMBDAS)
     rows = []
     report = []
     for lam in lams:
-        g = gram_matrix(float(lam), max_index=args.mmax, rtol=tol)
+        g, dev = verification.gram_comparison(float(lam), args.mmax, args.tol)
         n = g.shape[0]
         rows.extend((float(lam), i, j, float(g[i, j]))
                     for i in range(n) for j in range(n))
@@ -267,7 +260,7 @@ def cmd_gram(args) -> int:
             {
                 "lambda": float(lam),
                 "size": n,
-                "max_offdiagonal": verification.max_offdiagonal(g),
+                "max_offdiagonal": dev,
                 "matrix": [[float(v) for v in row] for row in g],
             }
         )
@@ -276,14 +269,13 @@ def cmd_gram(args) -> int:
 
 
 def cmd_sl(args) -> int:
-    lams = _lambdas(args, SL_LAMBDAS)
-    tol = 1e-6 if args.tol is None else args.tol
+    lams = _lambdas(args, verification.SL_LAMBDAS)
     rows = []
     report = []
     for lam in lams:
         lam = float(lam)
         k, vals, levels, exact, dev = verification.sl_comparison(
-            lam, args.k, tol)
+            lam, args.k, args.tol)
         for lv in levels:
             for m in range(k):
                 rows.append(
@@ -335,10 +327,12 @@ def cmd_ladder(args) -> int:
 def cmd_classical(args) -> int:
     periods = args.periods
     if args.probe:
-        lams = [float(lam) for lam in _lambdas(args, CLASSICAL_LAMBDAS)]
+        lams = _lambdas(args, verification.CLASSICAL_LAMBDAS)
         probes = verification.period_probes(
-            lams, args.amplitude or [0.5, 1.0], args.alpha,
-            100 if periods is None else periods, args.steps_per_period)
+            [float(lam) for lam in lams],
+            args.amplitude or verification.CLASSICAL_AMPLITUDES, args.alpha,
+            verification.CLASSICAL_PERIODS if periods is None else periods,
+            args.steps_per_period)
         rows = [(lam, amp, probe.period, law, rel, probe.max_rel_energy_drift)
                 for lam, amp, probe, law, rel in probes]
         header = [
@@ -348,7 +342,7 @@ def cmd_classical(args) -> int:
         _emit(args, header, rows)
         return 0
     where = "classical without --probe"
-    lam = float(_lambda(args, CLASSICAL_LAMBDAS[0], where=where))
+    lam = float(_lambda(args, verification.CLASSICAL_LAMBDAS[0], where=where))
     amp = _single(args.amplitude or [1.0], "--amplitude", where)
     if args.steps_per_period < 1:
         raise ValueError("steps_per_period must be positive")
@@ -372,7 +366,7 @@ def cmd_verify(args) -> int:
     results = verification.run_checks(groups, lams=lams, tol=args.tol)
     records = [r.to_dict() for r in results]
     ok = all(r.passed for r in results)
-    _write(args, dumps_json(records, indent=2))
+    _write(args, dumps_json(records))
     if not args.quiet:
         n_pass = sum(r.passed for r in results)
         print(f"{n_pass}/{len(results)} checks passed", file=sys.stderr)
@@ -393,10 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="closed-form energy levels")
     _common_flags(p)
     p.add_argument("--mmax", type=int, help="highest index (default: bound range)")
-    p.add_argument("--figure3", action="store_true",
-                   help="curves plus bound points at 0.30 and 0.15")
-    p.add_argument("--figure4", action="store_true",
-                   help="curves at +-0.30 plus the linear oscillator")
+    figure = p.add_mutually_exclusive_group()
+    figure.add_argument("--figure3", dest="figure", action="store_const",
+                        const=(0.30, 0.15),
+                        help="curves plus bound points at 0.30 and 0.15")
+    figure.add_argument("--figure4", dest="figure", action="store_const",
+                        const=(0.30, -0.30, 0.0),
+                        help="curves at +-0.30 plus the linear oscillator")
     p.add_argument("--curve-points", type=int, default=201)
     p.set_defaults(func=cmd_spectrum)
 
@@ -424,19 +421,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, action="append",
                    help="index to sample; repeatable (default: 0 to 3, "
                         "or to the last bound index if that is lower)")
-    p.add_argument("--ymin", type=float)
-    p.add_argument("--ymax", type=float, default=5.0)
+    p.add_argument("--ymin", type=float, help="default: -ymax")
+    p.add_argument("--ymax", type=float, help="default: 5, or just inside "
+                   "the walls, where every sample must lie")
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--normalized", action="store_true")
     p.set_defaults(func=cmd_wavefn)
 
     p = sub.add_parser("gram", help="normalized overlap matrices")
-    _common_flags(p, tol=True)
-    p.add_argument("--mmax", type=int, default=8)
+    _common_flags(p)
+    p.add_argument("--tol", type=float, default=verification.GRAM_TOL,
+                   help="the off-diagonal bound of verify --gram, which runs "
+                        "the quadrature at rtol min(tol/100, 1e-10)")
+    p.add_argument("--mmax", type=int, default=verification.GRAM_MAX_INDEX)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("sl", help="finite-difference eigensolver tables")
-    _common_flags(p, tol=True)
+    _common_flags(p)
+    p.add_argument("--tol", type=float, default=verification.SL_TOL,
+                   help="refinement tolerance, the bound of verify --sl")
     p.add_argument("--k", type=int, help="number of levels (default: bound count)")
     p.set_defaults(func=cmd_sl)
 
@@ -452,14 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; default: 1.0, or 0.5 and 1.0 for --probe")
     p.add_argument("--periods", type=int,
                    help="default: 3 for trajectories, 100 for --probe")
-    p.add_argument("--steps-per-period", type=int, default=10_000)
+    p.add_argument("--steps-per-period", type=int,
+                   default=verification.CLASSICAL_STEPS_PER_PERIOD)
     p.add_argument("--sample-every", type=int, default=10)
     p.add_argument("--probe", action="store_true",
                    help="emit period/drift measurements instead of a trajectory")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
-    _common_flags(p, tol=True, table=False)
+    _common_flags(p, table=False)
+    p.add_argument("--tol", type=float, help="sl and gram check bound")
     for name in verification.ALL_CHECKS:
         p.add_argument(f"--{name}", action="store_true",
                        help=f"run only the {name} checks (combinable)")

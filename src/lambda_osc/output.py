@@ -32,40 +32,39 @@ def write_csv(stream, header, rows) -> None:
         )
 
 
-def dumps_json(obj, indent: int = 0) -> str:
-    """Serialize dicts/lists/scalars with controlled float formatting."""
+def dumps_json(obj) -> str:
+    """Serialize dicts/lists/scalars with controlled float formatting, one
+    member per line, indented by two spaces per level."""
     out = io.StringIO()
-    _write_json(out, obj, indent, 0)
+    _write_json(out, obj, 0)
     out.write("\n")
     return out.getvalue()
 
 
-def _write_json(out, obj, indent, depth):
-    pad = " " * (indent * (depth + 1)) if indent else ""
-    close_pad = " " * (indent * depth) if indent else ""
-    sep = ",\n" if indent else ","
+def _write_json(out, obj, depth):
+    pad = "  " * (depth + 1)
     if isinstance(obj, dict):
         if not obj:
             out.write("{}")
             return
-        out.write("{\n" if indent else "{")
+        out.write("{\n")
         for i, (k, v) in enumerate(obj.items()):
             if i:
-                out.write(sep)
-            out.write(f'{pad}"{k}":' + (" " if indent else ""))
-            _write_json(out, v, indent, depth + 1)
-        out.write(("\n" + close_pad if indent else "") + "}")
+                out.write(",\n")
+            out.write(f'{pad}"{k}": ')
+            _write_json(out, v, depth + 1)
+        out.write("\n" + "  " * depth + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.write("[]")
             return
-        out.write("[\n" if indent else "[")
+        out.write("[\n")
         for i, v in enumerate(obj):
             if i:
-                out.write(sep)
+                out.write(",\n")
             out.write(pad)
-            _write_json(out, v, indent, depth + 1)
-        out.write(("\n" + close_pad if indent else "") + "]")
+            _write_json(out, v, depth + 1)
+        out.write("\n" + "  " * depth + "]")
     elif isinstance(obj, bool):
         out.write("true" if obj else "false")
     elif obj is None:

@@ -10,10 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-SIGN_NEGATIVE = "negative"
-SIGN_ZERO = "zero"
-SIGN_POSITIVE = "positive"
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -54,7 +50,7 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class DeformationParam:
-    """Sign classification of the dimensionless deformation parameter.
+    """Quantities that the sign of the dimensionless deformation fixes.
 
     For negative values the coordinate domain is the open interval
     (-half_width, half_width); for positive values only finitely many
@@ -63,15 +59,9 @@ class DeformationParam:
     """
 
     lam: object
-    sign_class: str
     half_width: object = None   # 1/sqrt(|lam|), negative sign only
     cutoff: object = None       # 1/lam, positive sign only
     n_max: int | None = None    # greatest integer strictly below cutoff
-
-    @property
-    def bound_states(self):
-        """Number of normalizable states (None means infinitely many)."""
-        return None if self.n_max is None else self.n_max + 1
 
 
 def classify(lam) -> DeformationParam:
@@ -79,7 +69,7 @@ def classify(lam) -> DeformationParam:
     if isinstance(lam, float) and not math.isfinite(lam):
         raise ValueError(f"deformation parameter must be finite, got {lam}")
     if lam == 0:
-        return DeformationParam(lam=lam, sign_class=SIGN_ZERO)
+        return DeformationParam(lam=lam)
     if lam > 0:
         cutoff = (
             Fraction(1) / lam if isinstance(lam, (Fraction, int)) else 1.0 / lam
@@ -87,9 +77,5 @@ def classify(lam) -> DeformationParam:
         # strict inequality m < cutoff: an integer cutoff k gives n_max = k-1,
         # since the borderline state's norm integral diverges
         n_max = math.ceil(cutoff) - 1
-        return DeformationParam(
-            lam=lam, sign_class=SIGN_POSITIVE, cutoff=cutoff, n_max=n_max
-        )
-    return DeformationParam(
-        lam=lam, sign_class=SIGN_NEGATIVE, half_width=1.0 / math.sqrt(-lam)
-    )
+        return DeformationParam(lam=lam, cutoff=cutoff, n_max=n_max)
+    return DeformationParam(lam=lam, half_width=1.0 / math.sqrt(-lam))

@@ -136,11 +136,11 @@ class LambdaPoly(DensePoly):
         c = ring_elem(c, self.lam)
         return LambdaPoly([a * c for a in self.coeffs], lam=self.lam)
 
-    def shift_y(self, k=1):
-        """Multiply by y^k."""
+    def shift_y(self):
+        """Multiply by y."""
         if self.is_zero():
             return self
-        return LambdaPoly([self._zero()] * k + list(self.coeffs), lam=self.lam)
+        return LambdaPoly([self._zero(), *self.coeffs], lam=self.lam)
 
     def derivative(self):
         return LambdaPoly(

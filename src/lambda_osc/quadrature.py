@@ -17,7 +17,6 @@ integrands odd in exact arithmetic cancel exactly in floating point too.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,25 +48,6 @@ class DivergentTailError(ValueError):
 def check_rtol(rtol: float) -> None:
     if rtol < RTOL_FLOOR:
         raise ValueError("tolerance below attainable floating-point accuracy")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Parameters of one measure integral.
-
-    The sign of ``lam`` picks the change of variable.  ``half_width`` is
-    the truncation half-width U of the flattening coordinate (ignored for
-    negative deformation, where the interval is fixed by the walls).
-    """
-
-    lam: float
-    half_width: float = 0.0
-    rtol: float = 1e-10
-
-    def __post_init__(self):
-        check_rtol(self.rtol)
-        if not self.lam < 0 and not self.half_width > 0:
-            raise ValueError("positive truncation half-width required")
 
 
 def overlap_halfwidth(lam: float, degree: int, tail_tol: float = 1e-14) -> float:
@@ -169,14 +149,21 @@ def _estimate(f_of_t, half_len: float, n: int):
     return total, total_abs, edge
 
 
-def integrate_measure(f, spec: QuadratureSpec) -> float:
+def integrate_measure(f, lam: float, half_width: float | None = None,
+                      rtol: float = 1e-10) -> float:
     """Integral of f against the invariant measure over the full domain.
 
-    ``f`` must accept ndarray arguments in the original coordinate.
+    ``f`` must accept ndarray arguments in the original coordinate.  The
+    sign of ``lam`` picks the change of variable.  ``half_width`` is the
+    truncation half-width U of the flattening coordinate, required for
+    lam >= 0 and ignored for negative deformation, where the walls fix
+    the interval.  Node doubling stops when two successive estimates
+    agree to ``rtol`` relative to the integral of |f|.
     Raises DivergentTailError when the truncated integrand visibly fails
     to decay, and NonConvergenceError when node doubling exhausts the cap.
     """
-    lam = float(spec.lam)
+    check_rtol(rtol)
+    lam = float(lam)
     walls = lam < 0
     if walls:
         root = math.sqrt(-lam)
@@ -186,7 +173,9 @@ def integrate_measure(f, spec: QuadratureSpec) -> float:
             return f(np.sin(t) / root) / root
 
     else:
-        half_len = float(spec.half_width)
+        if half_width is None or not half_width > 0:
+            raise ValueError("positive truncation half-width required")
+        half_len = float(half_width)
         if lam > 0:
             root = math.sqrt(lam)
 
@@ -201,12 +190,12 @@ def integrate_measure(f, spec: QuadratureSpec) -> float:
     while True:
         est, est_abs, edge = _estimate(transformed, half_len, n)
         scale = max(est_abs, 1e-300)
-        if not walls and edge * half_len > 1e3 * spec.rtol * scale:
+        if not walls and edge * half_len > 1e3 * rtol * scale:
             raise DivergentTailError(
                 f"integrand does not decay at the truncation edge "
                 f"(edge value {edge:.3e} vs integral scale {scale:.3e})"
             )
-        if prev is not None and abs(est - prev) <= spec.rtol * scale:
+        if prev is not None and abs(est - prev) <= rtol * scale:
             return est
         if 2 * n > NODE_CAP:
             raise NonConvergenceError(

@@ -12,17 +12,19 @@ from any construction route, so they are independent oracles for all
 three routes.
 
 The comparisons that the table commands print too (``sl_comparison``,
-``max_offdiagonal``, ``ladder_chain``, ``ladder_ratios``,
-``period_probes``) live here once.  The classical period probes are
-independent trajectories, so ``period_probes`` fans them out over the
-CPUs this process may use, in forked worker processes.  Each worker runs
+``gram_comparison``, ``ladder_chain``, ``ladder_ratios``,
+``period_probes``) live here once, and so do the acceptance parameters
+of the numeric oracles, which are also the command-line defaults.  The
+classical period probes are independent trajectories, so
+``period_probes`` fans them out over the CPUs this process may use, in
+forked worker processes.  Each worker runs
 the same stepper on the same inputs and the probes are collected in
 submission order, so the results are the same as from one process, bit
 for bit.
 
 Importing this module loads no numpy: the checks that need numpy, or the
 finite-difference oracle, import them when they run, so the command line
-reads the group names and default deformations without paying for either.
+reads the group names and default parameters without paying for either.
 """
 
 import functools
@@ -63,20 +65,25 @@ class CheckResult:
         return d
 
 
-# acceptance deformation sets of the numeric oracles (also CLI defaults)
+# acceptance parameters of the numeric oracles (also the CLI defaults)
 SL_LAMBDAS = (-0.3, -0.1, 0.0, 0.15, 0.3)
+SL_TOL = 1e-6
 GRAM_LAMBDAS = (-0.3, -0.1, 0.1, 0.3)
+GRAM_TOL = 1e-8
+GRAM_MAX_INDEX = 8
 CLASSICAL_LAMBDAS = (0.5, -0.5, 0.1, -0.1)
+CLASSICAL_AMPLITUDES = (0.5, 1.0)
+CLASSICAL_PERIODS = 100
+CLASSICAL_STEPS_PER_PERIOD = 10_000
 
 
-def _record(check, parameters, metric, threshold, strict=False):
-    ok = metric < threshold if strict else metric <= threshold
+def _record(check, parameters, metric, threshold):
     return CheckResult(
         check=check,
         parameters=parameters,
         metric=float(metric),
         threshold=float(threshold),
-        passed=bool(ok),
+        passed=bool(metric <= threshold),
     )
 
 
@@ -262,7 +269,7 @@ def sl_comparison(lam: float, k: int | None, tol: float):
     return k, vals, levels, exact, dev
 
 
-def check_sl_crossval(tol: float = 1e-6,
+def check_sl_crossval(tol: float = SL_TOL,
                       lams=SL_LAMBDAS) -> list[CheckResult]:
     """Refined finite-difference eigenvalues against the closed form."""
     from . import sturm_liouville
@@ -285,22 +292,26 @@ def check_sl_crossval(tol: float = 1e-6,
     return out
 
 
-def max_offdiagonal(g) -> float:
-    """Largest |entry| off the diagonal of a normalized Gram matrix (its
-    diagonal is exactly one)."""
+def gram_comparison(lam: float, max_index: int, tol: float):
+    """The normalized Gram matrix of the bound functions up to
+    ``max_index``, its overlaps integrated at rtol min(tol/100, 1e-10),
+    and its largest |entry| off the diagonal (the diagonal is exactly
+    one), the metric that ``tol`` bounds: (matrix, largest off-diagonal)."""
     import numpy as np
 
-    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+    g = gram_matrix(lam, max_index=max_index, rtol=min(tol * 1e-2, 1e-10))
+    return g, float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
-def check_gram(tol: float = 1e-8, lams=GRAM_LAMBDAS) -> list[CheckResult]:
-    """Normalized orthogonality of all bound pairs up to index 8."""
+def check_gram(tol: float = GRAM_TOL,
+               lams=GRAM_LAMBDAS) -> list[CheckResult]:
+    """Normalized orthogonality of all bound pairs up to GRAM_MAX_INDEX."""
     out = []
     for lam in lams:
-        g = gram_matrix(lam, max_index=8, rtol=min(tol * 1e-2, 1e-10))
+        g, dev = gram_comparison(lam, GRAM_MAX_INDEX, tol)
         out.append(
             _record("gram_offdiagonal", {"lambda": lam, "size": g.shape[0]},
-                    max_offdiagonal(g), tol)
+                    dev, tol)
         )
     return out
 
@@ -325,10 +336,10 @@ def ladder_chain(lam: Fraction, n_max: int) -> list[tuple]:
     return [(c, e, c + Fraction(1, 2) == e) for c, e in zip(chain, closed)]
 
 
-def check_ladder(n_max: int = 8) -> list[CheckResult]:
+def check_ladder() -> list[CheckResult]:
     """Exact rational-mode ladder checks."""
     out = []
-    lam = Fraction(1, 10)
+    lam, n_max = Fraction(1, 10), 8
     bad = sum(not c for c in ladder_ratios(lam, n_max))
     out.append(
         _record("ladder_proportionality", {"lambda": str(lam), "n_max": n_max},
@@ -393,12 +404,12 @@ def _operator_battery(lam: Fraction) -> list[LadderFunction]:
     return out
 
 
-def check_commutator(tol: float = 1e-10, lams=(0.5, -0.5)) -> list[CheckResult]:
+def check_commutator(tol: float = 1e-10) -> list[CheckResult]:
     """Closed-form commutator against operator composition at samples."""
     import numpy as np
 
     out = []
-    for lam in lams:
+    for lam in (0.5, -0.5):
         lam_r = Fraction(lam)
         p = PhysicalParams(m=1, alpha=1, hbar=1, lam=lam_r)
         xs = np.linspace(-1.2, 1.2, 20)
@@ -479,9 +490,10 @@ def period_probes(lams, amplitudes, alpha: float, n_periods: int,
 
 def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
                     lams=CLASSICAL_LAMBDAS,
-                    amplitudes=(0.5, 1.0),
-                    n_periods: int = 100,
-                    steps_per_period: int = 10_000) -> list[CheckResult]:
+                    amplitudes=CLASSICAL_AMPLITUDES,
+                    n_periods: int = CLASSICAL_PERIODS,
+                    steps_per_period: int = CLASSICAL_STEPS_PER_PERIOD,
+                    ) -> list[CheckResult]:
     """Measured period against the amplitude-frequency law, plus drift."""
     out = []
     for lam, amp, probe, _law, rel in period_probes(
@@ -498,12 +510,13 @@ def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
     return out
 
 
-def check_small_deformation_continuity(tol: float = 1e-4,
-                                       m_top: int = 4) -> list[CheckResult]:
-    """Values at deformation +-1e-6 stay near the classical oscillator."""
+def check_small_deformation_continuity(tol: float = 1e-4) -> list[CheckResult]:
+    """Values at deformation +-1e-6 stay near the classical oscillator,
+    for the indices 0..4."""
     import numpy as np
 
     out = []
+    m_top = 4
     classical_polys = generating_coeffs(m_top, Fraction(0))
     ys = np.linspace(-3.0, 3.0, 25)
     for lam in (1e-6, -1e-6):

@@ -196,8 +196,7 @@ def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:
     u = quadrature.overlap_halfwidth(
         lam, w1.m + w2.m, tail_tol=min(rtol, 1e-12) * 1e-2
     )
-    spec = quadrature.QuadratureSpec(lam=lam, half_width=u, rtol=rtol)
-    return quadrature.integrate_measure(lambda y: w1(y) * w2(y), spec)
+    return quadrature.integrate_measure(lambda y: w1(y) * w2(y), lam, u, rtol)
 
 
 def measure_mass(lam) -> float:
@@ -267,6 +266,8 @@ def gram_matrix(lam, max_index: int | None = None, rtol: float = 1e-10):
     """
     import numpy as np
 
+    if max_index is not None and max_index < 0:
+        raise ValueError("index must be nonnegative")
     dp = classify(lam)
     top = max_index
     if dp.n_max is not None:

@@ -86,6 +86,22 @@ class TestSpectrumCommand:
         code = main(["spectrum", "--lambda", "nan"])
         assert code == 1
 
+    @pytest.mark.parametrize("figure", ["3", "4"])
+    def test_figure_refuses_a_deformation(self, figure, capsys):
+        # a figure draws fixed deformations; --lambda is refused, not dropped
+        assert main(["spectrum", f"--figure{figure}", "--lambda", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --figure3 and --figure4 draw fixed "
+                                "deformations and take no --lambda\n")
+
+    def test_one_figure_at_a_time(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--figure3", "--figure4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --figure4: not allowed with argument --figure3" in err
+
     @pytest.mark.parametrize("figure", ["--figure3", "--figure4"])
     def test_figure_csv_cells_are_plain_floats(self, capsys, figure):
         # the curve energies are numpy floats; CSV must not spell their type
@@ -220,6 +236,36 @@ class TestWavefnCommand:
         assert code == 0
         values = [float(line.split(",")[1]) for line in out.split()[1:]]
         assert len(values) == 5 and all(map(math.isfinite, values))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ymin", "-3"), ("--ymax", "9"), ("--ymax", "-9"),
+        ("--ymin", "1.5"), ("--ymax", repr(1 / math.sqrt(0.5))),
+    ])
+    def test_sample_outside_the_walls_refused(self, flag, value, capsys):
+        # the walls are open: a sample at the wall is refused too
+        assert main(["wavefn", "--lambda", "-0.5", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} {float(value)} lies outside the walls at "
+            f"+-{1 / math.sqrt(0.5)} of deformation -0.5\n")
+
+    def test_ymax_inside_the_walls_is_honoured(self, capsys):
+        code, out = run_cli(capsys, "wavefn", "--lambda", "-0.5", "--ymax",
+                            "1.25", "--points", "5")
+        assert code == 0
+        ys = [float(line.split(",")[0]) for line in out.split()[1:]]
+        assert ys == [-1.25, -0.625, 0.0, 0.625, 1.25]
+        code, out = run_cli(capsys, "wavefn", "--lambda", "-0.5", "--ymin",
+                            "-1", "--ymax", "0.5", "--points", "4")
+        assert [float(line.split(",")[0]) for line in out.split()[1:]] == [
+            -1.0, -0.5, 0.0, 0.5]
+
+    def test_default_grid_between_the_walls(self, capsys):
+        _, out = run_cli(capsys, "wavefn", "--lambda", "-0.5", "--points", "3")
+        ys = [float(line.split(",")[0]) for line in out.split()[1:]]
+        wall = 1 / math.sqrt(0.5)
+        assert ys == [-0.999 * wall, 0.0, 0.999 * wall]
 
     def test_csv_columns(self, capsys):
         _, out = run_cli(capsys, "wavefn", "--lambda", "0.3", "--m", "0",
@@ -400,11 +446,35 @@ class TestSlCommand:
         assert captured.err == f"error: {message}\n"
 
 
+class TestGramCommand:
+    @pytest.mark.parametrize("lam, tol", [("0.1", "1e-9"), ("-0.3", "1e-8"),
+                                          ("0.3", "1e-6")])
+    def test_offdiagonal_is_the_verify_metric(self, lam, tol, capsys):
+        # --tol means one thing: the bound verify --gram holds the
+        # off-diagonal to, which also sets the quadrature tolerance
+        _, out = run_cli(capsys, "gram", "--lambda", lam, "--tol", tol,
+                         "--format", "json")
+        (rec,) = json.loads(out)
+        _, out = run_cli(capsys, "verify", "--gram", "--lambda", lam, "--tol",
+                         tol, "--quiet")
+        (check,) = json.loads(out)
+        assert rec["max_offdiagonal"] == check["metric"]
+        assert rec["size"] == check["parameters"]["size"]
+
+    def test_negative_index_bound_refused(self, capsys):
+        assert main(["gram", "--mmax", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: index must be nonnegative\n"
+
+
 class TestZeroTolerance:
     # --tol 0 is passed on (not replaced by the default) and refused
     @pytest.mark.parametrize("argv", [["sl", "--lambda", "0.3", "--tol", "0"],
                                       ["gram", "--tol", "0"],
-                                      ["gram", "--lambda", "0.3", "--tol", "0"]])
+                                      ["gram", "--lambda", "0.3", "--tol", "0"],
+                                      # rtol tol/100 falls below the floor
+                                      ["gram", "--tol", "1e-13"]])
     def test_refused(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -299,8 +299,7 @@ class TestAdjointness:
     def test_weak_adjointness_under_the_measure(self, lam):
         # <raise f, g> = <f, lower g> against the invariant measure, on
         # decaying family members (checked weakly, by quadrature)
-        from lambda_osc.quadrature import (QuadratureSpec, integrate_measure,
-                                           overlap_halfwidth)
+        from lambda_osc.quadrature import integrate_measure, overlap_halfwidth
 
         envelope_s = -1 / (2 * lam)
         pairs = [
@@ -310,15 +309,13 @@ class TestAdjointness:
         for f, g in pairs:
             af = fac.apply(fac.raising(lam, 1), f)
             ag = fac.apply(fac.lowering(lam, 1), g)
+            u = None
             if lam > 0:
                 deg = max(af.poly.degree + g.poly.degree,
                           f.poly.degree + ag.poly.degree)
                 u = overlap_halfwidth(float(lam), deg)
-                spec = QuadratureSpec(lam=float(lam), half_width=u)
-            else:
-                spec = QuadratureSpec(lam=float(lam))
-            lhs = integrate_measure(lambda y: af(y) * g(y), spec)
-            rhs = integrate_measure(lambda y: f(y) * ag(y), spec)
+            lhs = integrate_measure(lambda y: af(y) * g(y), float(lam), u)
+            rhs = integrate_measure(lambda y: f(y) * ag(y), float(lam), u)
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-8 * scale
 

@@ -4,7 +4,7 @@ import lambda_osc
 PUBLIC = [
     "ClassicalState", "DeformationParam", "EnergyLevel", "LadderFunction",
     "LadderOperator", "LamPoly", "LamRatio", "LambdaPoly", "OrbitParams",
-    "PhysicalParams", "QuadratureSpec", "SLDiscretization", "SpectrumTable",
+    "PhysicalParams", "SLDiscretization", "SpectrumTable",
     "WaveFunction", "apply", "assemble", "bound_count", "build_state",
     "classify", "commutator_closed_form", "conjugation_residual",
     "derivative_relation_check", "eigenvalues", "energies", "energy",

@@ -9,15 +9,15 @@ class TestClassify:
     def test_positive_published_count(self):
         # four bound states at 0.3
         dp = classify(0.3)
-        assert dp.sign_class == "positive"
         assert dp.n_max == 3
-        assert dp.bound_states == 4
+        assert dp.cutoff == 1 / 0.3
+        assert dp.half_width is None
 
     def test_zero_is_undeformed(self):
         dp = classify(0)
-        assert dp.sign_class == "zero"
         assert dp.n_max is None
-        assert dp.bound_states is None
+        assert dp.cutoff is None
+        assert dp.half_width is None
 
     def test_integer_cutoff_excludes_borderline_state(self):
         # the norm integrand's tail power 2m - 1 - 2/lam must be below -1;
@@ -33,7 +33,7 @@ class TestClassify:
 
     def test_negative_has_walls(self):
         dp = classify(-0.25)
-        assert dp.sign_class == "negative"
+        assert dp.cutoff is None
         assert dp.half_width == pytest.approx(2.0)
         assert dp.n_max is None
 

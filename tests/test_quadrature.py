@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -8,7 +9,6 @@ from lambda_osc import quadrature
 from lambda_osc.quadrature import (
     DivergentTailError,
     NonConvergenceError,
-    QuadratureSpec,
     _leggauss,
     integrate_measure,
     overlap_halfwidth,
@@ -20,13 +20,11 @@ class TestMeasureIntegration:
     def test_total_measure_negative_unit(self):
         # the substitution flattens the measure exactly: the interval has
         # length pi and the scale is 1/sqrt(|lam|)
-        got = integrate_measure(lambda y: np.ones_like(y),
-                                QuadratureSpec(lam=-1.0))
+        got = integrate_measure(lambda y: np.ones_like(y), -1.0)
         assert got == pytest.approx(math.pi, rel=1e-14)
 
     def test_total_measure_scales(self):
-        got = integrate_measure(lambda y: np.ones_like(y),
-                                QuadratureSpec(lam=-0.25))
+        got = integrate_measure(lambda y: np.ones_like(y), -0.25)
         assert got == pytest.approx(2.0 * math.pi, rel=1e-14)
 
     def test_odd_integrand_cancels_exactly(self):
@@ -35,9 +33,8 @@ class TestMeasureIntegration:
         # exact zero (y*y*y rather than y**3: numpy's pow is not
         # bit-symmetric under negation)
         for lam in (-0.5, 0.0, 0.7):
-            spec = QuadratureSpec(lam=lam, half_width=8.0)
             f = lambda y: y * y * y * np.exp(-y * y)
-            assert integrate_measure(f, spec) == 0.0
+            assert integrate_measure(f, lam, half_width=8.0) == 0.0
 
     def test_opposite_parity_overlap_is_exact_zero(self):
         for lam in (-0.3, 0.1):
@@ -48,8 +45,7 @@ class TestMeasureIntegration:
             assert mu_inner(w1, w2) == 0.0
 
     def test_gaussian_flat_measure(self):
-        spec = QuadratureSpec(lam=0.0, half_width=10.0)
-        got = integrate_measure(lambda y: np.exp(-y * y), spec)
+        got = integrate_measure(lambda y: np.exp(-y * y), 0.0, half_width=10.0)
         assert got == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_orthogonality_published_pair(self):
@@ -100,12 +96,11 @@ class TestMeasureIntegration:
         f = lambda y: w1(y) * w3(y)
         u = overlap_halfwidth(lam, 4, tail_tol=1e-16)
         vals = [
-            integrate_measure(f, QuadratureSpec(lam=lam, half_width=c * u))
+            integrate_measure(f, lam, half_width=c * u)
             for c in (1.0, 2.0)
         ]
         assert abs(vals[0] - vals[1]) < 1e-10 * abs(
-            integrate_measure(lambda y: w1(y) ** 2,
-                              QuadratureSpec(lam=lam, half_width=u))
+            integrate_measure(lambda y: w1(y) ** 2, lam, half_width=u)
         )
 
     @pytest.mark.parametrize(
@@ -124,14 +119,13 @@ class TestMeasureIntegration:
         for m, n in pairs:
             f = lambda y: ws[m](y) * ws[n](y)
             u = overlap_halfwidth(lam, m + n, tail_tol=1e-16)
-            a = integrate_measure(f, QuadratureSpec(lam=lam, half_width=u))
-            b = integrate_measure(f, QuadratureSpec(lam=lam, half_width=2 * u))
+            a = integrate_measure(f, lam, half_width=u)
+            b = integrate_measure(f, lam, half_width=2 * u)
             assert abs(a - b) <= 1e-9 * max(abs(a), norm0)
 
     def test_divergent_tail_detected(self):
-        spec = QuadratureSpec(lam=0.3, half_width=30.0)
         with pytest.raises(DivergentTailError):
-            integrate_measure(lambda y: np.ones_like(y), spec)
+            integrate_measure(lambda y: np.ones_like(y), 0.3, half_width=30.0)
 
     def test_unnormalizable_degree_rejected(self):
         # combined degree at the cutoff makes the exponent nonnegative
@@ -141,24 +135,30 @@ class TestMeasureIntegration:
     def test_node_cap_reported(self, monkeypatch):
         # a cap of twice the first rule leaves room for two estimates
         monkeypatch.setattr(quadrature, "NODE_CAP", 2 * quadrature.START_NODES)
-        spec = QuadratureSpec(lam=-0.5, rtol=1e-14)
         kink = lambda y: np.abs(y - 0.31)
         with pytest.raises(NonConvergenceError) as err:
-            integrate_measure(kink, spec)
+            integrate_measure(kink, -0.5, rtol=1e-14)
         assert err.value.last is not None
         assert err.value.previous is not None
 
     def test_scheme_selection(self):
         # the walls fix the interval, so only lam >= 0 needs a half-width
-        assert QuadratureSpec(lam=-0.1).half_width == 0.0
-        with pytest.raises(ValueError):
-            QuadratureSpec(lam=0.1, half_width=0.0)
+        one = lambda y: np.ones_like(y)
+        assert integrate_measure(one, -0.1) == integrate_measure(
+            one, -0.1, half_width=0.0)
+        for lam in (0.1, 0.0):
+            for half_width in (None, 0.0, -1.0):
+                with pytest.raises(ValueError, match="half-width"):
+                    integrate_measure(one, lam, half_width=half_width)
 
     def test_tolerance_floor(self):
         # a zero tolerance would double the rule up to the node cap
-        with pytest.raises(ValueError, match="attainable"):
-            QuadratureSpec(lam=0.3, half_width=5, rtol=0)
-        assert QuadratureSpec(lam=0.3, half_width=5).rtol == 1e-10
+        one = lambda y: np.ones_like(y)
+        for lam in (0.3, -0.3):
+            with pytest.raises(ValueError, match="attainable"):
+                integrate_measure(one, lam, half_width=5, rtol=0)
+        rtol = inspect.signature(integrate_measure).parameters["rtol"]
+        assert rtol.default == 1e-10
 
 
 class TestRule:

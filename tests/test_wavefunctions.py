@@ -215,6 +215,12 @@ class TestInnerProducts:
         assert np.max(off) <= 1e-8
         assert np.allclose(np.diag(g), 1.0)
 
+    @pytest.mark.parametrize("lam", [-0.3, 0.0, 0.3])
+    def test_gram_negative_index_refused(self, lam):
+        # refused up front, not as numpy's error on an empty matrix
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            gram_matrix(lam, max_index=-1)
+
 
 def _central_binomial_over_4k(k):
     """C(2k, k) / 4^k as a float, from the exact integer."""
