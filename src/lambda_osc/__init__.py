@@ -49,7 +49,6 @@ _SOURCES = {
     "wavefunctions": (
         "WaveFunction",
         "envelope",
-        "evaluate",
         "gram_matrix",
         "mu_inner",
         "nodes",

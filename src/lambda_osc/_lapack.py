@@ -10,8 +10,9 @@ lengths), so they are called here through ctypes and scipy is never
 imported.  These are the routines ``scipy.linalg.eigvalsh_tridiagonal``
 runs for ``lapack_driver="sterf"`` and ``select="i"``, with the same
 arguments, so the eigenvalues are the same.  Where numpy's build does
-not export them (a conda or MKL numpy, say), that scipy function runs
-instead; which one runs depends only on what the platform provides.
+not export them (a conda or MKL numpy, say), that scipy function from
+the optional ``scipy`` extra runs instead; which one runs depends only
+on what the platform provides.
 """
 
 import ctypes

@@ -30,7 +30,7 @@ from .output import dumps_json, write_csv
 from .params import classify
 from .spectrum import continuous_curve, energies
 # gram_matrix stays bound here for the perfbench tracer, which looks it up
-from .wavefunctions import gram_matrix, norm_constant, wavefunction
+from .wavefunctions import gram_matrix, wavefunction
 
 # acceptance parameter sets, used as subcommand defaults (the verified
 # ones, and the spectrum's, are owned by the checks in verification)
@@ -225,13 +225,12 @@ def cmd_wavefn(args) -> int:
                                  f"+-{wall} of deformation {lam}")
     ys = np.linspace(lo, hi, args.points)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        cols = [w(ys) for w in ws]
-        if args.normalized:
-            cols = [c * norm_constant(w) for w, c in zip(ws, cols)]
+        cols = [w.normalized(ys) if args.normalized else w(ys) for w in ws]
     for m, c in zip(ms, cols):
         if not np.isfinite(c).all():
             raise ValueError(f"psi_{m} is not finite at deformation {lam}: its "
-                             f"unnormalized values overflow float range")
+                             f"unnormalized values overflow float range "
+                             f"(--normalized stays in range)")
     rows = [
         (float(y),) + tuple(float(c[i]) for c in cols)
         for i, y in enumerate(ys)

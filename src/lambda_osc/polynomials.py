@@ -24,7 +24,10 @@ Q).  Because gcd(z, y) = 1, z divides alpha*y*Q + beta*z*Q' only if
 alpha = 0 or z divides Q, so a result with alpha != 0 is canonical as
 built; only alpha = 0 goes through the long division by z.
 
-The exact arithmetic imports no numpy; only the float evaluations do.
+A float value is the exact value rounded once: ``LambdaPoly.__call__``
+runs ``evaluate_exact``'s integer kernel at each sample's binary value,
+and a ``LadderFunction`` multiplies that by the float envelope.  Only
+these float evaluations import numpy.
 """
 
 import math
@@ -159,13 +162,33 @@ class LambdaPoly(DensePoly):
         return self.divmod(other)
 
     # -- evaluation -------------------------------------------------------
+    def _values(self, points):
+        """(N, D) with N / D the exact value at each rational p/q: Horner
+        on integer numerators, each term times the power of q it lacks."""
+        if self.generic:
+            raise ValueError("generic polynomial needs a deformation value")
+        nums, den = integer_numerators(self.coeffs)
+        out = []
+        for p, q in points:
+            acc, qk = 0, 1
+            for c in reversed(nums):
+                acc, qk = acc * p + c * qk, qk * q
+            out.append((acc * q, den * qk))
+        return out
+
     def evaluate_exact(self, y):
-        """Horner evaluation with exact coefficients (y a Fraction/int)."""
-        acc = self._zero()
-        y = Fraction(y)
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
+        """The exact value at a rational y (a Fraction or int)."""
+        return Fraction(*self._values([Fraction(y).as_integer_ratio()])[0])
+
+    def __call__(self, y):
+        """Float value (scalar or ndarray y): the exact value at each
+        sample's binary value, rounded once by int / int division."""
+        import numpy as np
+
+        y = np.asarray(y, dtype=float)
+        out = [n / d for n, d in self._values(
+            v.as_integer_ratio() for v in y.ravel().tolist())]
+        return out[0] if y.ndim == 0 else np.array(out).reshape(y.shape)
 
     def substitute_lambda(self, lam):
         """Specialise a generic polynomial at a rational deformation value."""
@@ -178,25 +201,6 @@ class LambdaPoly(DensePoly):
             normalization=self.normalization,
             n=self.n,
         )
-
-    def float_coeffs(self):
-        """Coefficients as floats (fixed mode; a generic polynomial is
-        specialised first with ``substitute_lambda``)."""
-        import numpy as np
-
-        if self.generic:
-            raise ValueError("generic polynomial needs a deformation value")
-        return np.array([float(c) for c in self.coeffs], dtype=float)
-
-    def __call__(self, y):
-        """Float evaluation by plain Horner on ``float_coeffs`` (scalar or
-        ndarray y); exact values need ``evaluate_exact``."""
-        import numpy as np
-
-        cs = self.float_coeffs()
-        if cs.size == 0:
-            return np.zeros_like(np.asarray(y, dtype=float)) if np.ndim(y) else 0.0
-        return np.polynomial.polynomial.polyval(y, cs)
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self):

@@ -11,6 +11,8 @@ proportional one.
 Float values run the paper's three-term recursion from psi_0 = envelope:
 no monomial coefficients to cancel, and no overflow in slowly decaying
 tails where the polynomial factor alone is out of float range.
+``normalized`` runs it on orthonormal coefficients (the Jacobi matrix
+of ``nodes``), so its values stay in float range at every index.
 
 Building a function and its norm is exact or scalar work and imports no
 numpy; the float paths import numpy, and ``mu_inner`` the quadrature,
@@ -81,8 +83,7 @@ class WaveFunction:
         self.lam = lam
         self.deformation = dp
         self._poly = poly
-        self._coeffs = None
-        self._scale = None
+        self._coeffs = {}  # keyed by normalized
 
     @property
     def poly(self) -> LambdaPoly:
@@ -97,48 +98,46 @@ class WaveFunction:
         return self._poly
 
     @property
-    def half_width(self):
-        return self.deformation.half_width
-
-    @property
     def scale(self) -> float:
         """The polynomial factor over the generating-normalization one: its
         leading coefficient over prod a_n (1.0 unless a constructor handed
         in another normalization)."""
-        if self._scale is None:
-            self._scale = 1.0
-            poly = self._poly
-            if poly is not None and poly.normalization != NORM_GENERATING:
-                lead = math.prod(
-                    recursion_coeffs(n, poly.lam)[0] for n in range(self.m)
-                )
-                self._scale = float(poly.coefficient(self.m) / lead)
-        return self._scale
+        poly = self._poly
+        if poly is None or poly.normalization == NORM_GENERATING:
+            return 1.0
+        lead = math.prod(recursion_coeffs(n, poly.lam)[0]
+                         for n in range(self.m))
+        return float(poly.coefficient(self.m) / lead)
 
-    def _recurse(self, y, psi):
-        """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = psi."""
+    def _recurse(self, y, normalized):
+        """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = c *
+        envelope: plain, (a_n, b_n) and c = ``scale``; or orthonormal,
+        (1, sqrt(beta_n)) / sqrt(beta_{n+1}) and c = +-1/sqrt(M_0)."""
         import numpy as np
 
+        if normalized not in self._coeffs:
+            if normalized:
+                r = _sqrt_beta(self.m, self.lam)
+                a, b = 1.0 / r, np.append(0.0, r[:-1]) / r
+                c = math.copysign(measure_mass(self.lam) ** -0.5, self.scale)
+            else:
+                a, b = recursion_coeffs(np.arange(self.m), float(self.lam))
+                c = self.scale
+            self._coeffs[normalized] = c, a.tolist(), b.tolist()
+        c, a, b = self._coeffs[normalized]
         y = np.asarray(y, dtype=float)
-        if self._coeffs is None:
-            a, b = recursion_coeffs(np.arange(self.m), float(self.lam))
-            self._coeffs = a.tolist(), b.tolist()
-        a, b = self._coeffs
-        prev, psi = 0.0, psi * self.scale
+        prev, psi = 0.0, envelope(y, self.lam) * c
         for a_n, b_n in zip(a, b):
             prev, psi = psi, a_n * y * psi - b_n * prev
         return psi
 
-    def poly_values(self, y):
-        """Polynomial factor alone (scalar or ndarray)."""
-        import numpy as np
-
-        seed = np.ones_like(y, dtype=float) if np.ndim(y) else 1.0
-        return self._recurse(y, seed)
-
     def __call__(self, y):
         """Unnormalized value (scalar or ndarray, assumed in-domain)."""
-        return self._recurse(y, envelope(y, self.lam))
+        return self._recurse(y, False)
+
+    def normalized(self, y):
+        """``self(y) * norm_constant(self)``, in float range at any index."""
+        return self._recurse(y, True)
 
 
 def wavefunction(m: int, lam) -> WaveFunction:
@@ -146,12 +145,14 @@ def wavefunction(m: int, lam) -> WaveFunction:
     return WaveFunction(m, lam)
 
 
-def evaluate(w: WaveFunction, y: float) -> float:
-    """Value at a single point, with domain checking."""
-    a = w.half_width
-    if a is not None and not -a < y < a:
-        raise ValueError(f"coordinate {y} outside the open domain (+-{a})")
-    return float(w(float(y)))
+def _sqrt_beta(n, lam):
+    """sqrt(beta_k), k = 1..n, beta_k = b_k / (a_k a_{k-1}) from
+    ``hermite.recursion_coeffs``: the monic recursion's Jacobi matrix
+    off-diagonal, positive at every index the constructor admits."""
+    import numpy as np
+
+    a, b = recursion_coeffs(np.arange(n + 1), float(lam))
+    return np.sqrt(b[1:] / (a[1:] * a[:-1]))
 
 
 def nodes(w: WaveFunction) -> list[float]:
@@ -160,11 +161,8 @@ def nodes(w: WaveFunction) -> list[float]:
 
     They are the eigenvalues of the Jacobi matrix of the three-term
     recursion made monic (Golub & Welsch, Math. Comp. 23 (1969) 221):
-    zero diagonal, off-diagonal sqrt(beta_n) with beta_n = b_n / (a_n
-    a_{n-1}) from ``hermite.recursion_coeffs``, i.e.
-    n(2 - (n-1) lam) / (4 (1 - n lam)(1 - (n-1) lam)), positive at every
-    index the constructor admits.  These are the zeros of the index-m
-    family member at float(w.lam); the constructors
+    zero diagonal, off-diagonal ``_sqrt_beta``.  These are the zeros of
+    the index-m family member at float(w.lam); the constructors
     (``wavefunction``, ``factorization.build_state``) only make
     polynomials proportional to it.  The matrix is tridiagonal, so LAPACK
     sterf solves it from its two diagonals in O(m) memory.
@@ -175,8 +173,7 @@ def nodes(w: WaveFunction) -> list[float]:
 
     from ._lapack import all_eigenvalues
 
-    a, b = recursion_coeffs(np.arange(w.m), float(w.lam))
-    x = all_eigenvalues(np.zeros(w.m), np.sqrt(b[1:] / (a[1:] * a[:-1])))
+    x = all_eigenvalues(np.zeros(w.m), _sqrt_beta(w.m - 1, w.lam))
     return ((x - x[::-1]) / 2).tolist()
 
 
@@ -289,24 +286,23 @@ def eigen_equation_residual(m: int, lam, ys) -> float:
     """Largest relative residual of the adimensional eigenvalue equation
     (1+lam*y^2) psi'' + lam*y psi' - (1+lam) y^2/(1+lam*y^2) psi + 2e psi = 0
     over the sample points, with derivatives taken analytically on the
-    closed z^s * Q family (exact coefficients, float evaluation)."""
+    closed z^s * Q family (exact polynomials, each value rounded once,
+    times the float envelope)."""
     import numpy as np
 
     lam = exact_rational(lam)
     if lam == 0:
         raise ValueError("use the classical oscillator for zero deformation")
-    poly = generating_coeffs(m, lam)[m]
-    psi = LadderFunction(lam, -1 / (2 * lam), poly)
+    psi = LadderFunction(lam, -1 / (2 * lam), generating_coeffs(m, lam)[m])
     dpsi = psi.differentiate()
-    ddpsi = dpsi.differentiate()
     e = float(energy(lam, m))
     ys = np.asarray(ys, dtype=float)
-    lam_f = float(lam)
+    lam_f, p = float(lam), psi(ys)
     z = 1.0 + lam_f * ys * ys
-    t1 = z * ddpsi(ys)
+    t1 = z * dpsi.differentiate()(ys)
     t2 = lam_f * ys * dpsi(ys)
-    t3 = -(1.0 + lam_f) * ys * ys / z * psi(ys)
-    t4 = 2.0 * e * psi(ys)
+    t3 = -(1.0 + lam_f) * ys * ys / z * p
+    t4 = 2.0 * e * p
     resid = np.abs(t1 + t2 + t3 + t4)
     scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3), np.abs(t4)])
     scale = np.where(scale == 0, 1.0, scale)

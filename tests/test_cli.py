@@ -218,17 +218,26 @@ class TestPolysCommand:
 
 
 class TestWavefnCommand:
-    @pytest.mark.parametrize("normalized", [[], ["--normalized"]])
-    def test_overflow_is_an_error(self, normalized, capsys):
+    def test_overflow_is_an_error(self, capsys):
         # the recursion leaves float range at this index; RuntimeWarnings
         # are errors under pytest, so a numpy warning would fail the call
-        assert main(["wavefn", *normalized, "--m", "200", "--lambda",
-                     "-0.5", "--points", "5"]) == 1
+        assert main(["wavefn", "--m", "200", "--lambda", "-0.5",
+                     "--points", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "error: psi_200 is not finite at deformation -0.5: its "
-            "unnormalized values overflow float range\n")
+            "unnormalized values overflow float range (--normalized stays "
+            "in range)\n")
+
+    def test_normalized_stays_in_float_range(self, capsys):
+        # the orthonormal recursion never forms the unnormalized values
+        code, out = run_cli(capsys, "wavefn", "--normalized", "--m", "200",
+                            "--lambda", "-0.5", "--points", "5")
+        assert code == 0
+        values = [float(line.split(",")[1]) for line in out.split()[1:]]
+        assert len(values) == 5 and all(map(math.isfinite, values))
+        assert max(map(abs, values)) > 0.1
 
     def test_last_representable_index_still_samples(self, capsys):
         code, out = run_cli(capsys, "wavefn", "--normalized", "--m", "150",

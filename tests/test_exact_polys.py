@@ -237,3 +237,30 @@ class TestFloatEvaluation:
         with pytest.raises(ValueError, match="deformation value"):
             p(0.5)
         assert p.substitute_lambda(Fraction(1, 4))(2.0) == 2.0
+        with pytest.raises(ValueError, match="deformation value"):
+            p.evaluate_exact(Fraction(1, 2))
+
+    def test_values_are_the_exact_value_rounded_once(self):
+        # h_40 at lam = -1/2 between its zeros: monomial float coefficients
+        # cancel there, the integer kernel rounds the exact value once
+        from lambda_osc.hermite import generating_coeffs
+        from lambda_osc.wavefunctions import nodes, wavefunction
+
+        p = generating_coeffs(40, Fraction(-1, 2))[40]
+        ns = nodes(wavefunction(40, -0.5))
+        mids = np.array([(a + b) / 2 for a, b in zip(ns, ns[1:])])
+        want = [float(p.evaluate_exact(Fraction(y))) for y in mids]
+        got = p(mids)
+        assert isinstance(got, np.ndarray) and got.shape == mids.shape
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+        for y, w in zip(mids[::7].tolist(), want[::7]):
+            value = p(y)
+            assert isinstance(value, float) and value.hex() == w.hex()
+        grid = mids.reshape(3, 13)
+        assert np.array_equal(p(grid), np.array(want).reshape(3, 13))
+
+    def test_zero_polynomial(self):
+        z = LambdaPoly.zero(Fraction(-1, 2))
+        assert z(0.75) == 0.0
+        assert np.array_equal(z(np.linspace(-1.0, 1.0, 5)), np.zeros(5))
+        assert z.evaluate_exact(Fraction(3, 4)) == 0

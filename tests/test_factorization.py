@@ -219,7 +219,7 @@ class TestBuildState:
         # by the ladder polynomial's leading coefficient over prod a_n
         lam = Fraction(lam)
         st = fac.build_state(n, lam)
-        wall = st.half_width
+        wall = st.deformation.half_width
         ys = np.linspace(-0.95 * wall, 0.95 * wall, 41) if wall else (
             np.linspace(-4.0, 4.0, 41)
         )

@@ -8,7 +8,7 @@ PUBLIC = [
     "WaveFunction", "apply", "assemble", "bound_count", "build_state",
     "classify", "commutator_closed_form", "conjugation_residual",
     "derivative_relation_check", "eigenvalues", "energies", "energy",
-    "envelope", "evaluate", "generating_coeffs", "gram_matrix",
+    "envelope", "generating_coeffs", "gram_matrix",
     "integrate_measure", "ladder_energies", "leading_coefficient",
     "measure_period", "mu_inner", "nodes", "norm_constant",
     "partner_potentials", "proportionality", "refine", "rodrigues",
