@@ -173,7 +173,13 @@ def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
 
 def integrate(state0: ClassicalState, alpha: float, lam: float, total_time: float,
               h: float, sample_every: int = 1) -> Trajectory:
-    """Fixed-step integration from an initial state; samples (t, x, v, E)."""
+    """Fixed-step integration from an initial state; samples (t, x, v, E).
+
+    Runs round(total_time / h) steps, at least one; a negative total_time,
+    like h <= 0, sample_every < 1 or a state off the domain, is a ValueError.
+    """
+    if not total_time >= 0:
+        raise ValueError(f"total_time {total_time} must be nonnegative")
     if h <= 0:
         raise ValueError("step must be positive")
     if sample_every < 1:

@@ -2,12 +2,15 @@
 
 Every subcommand emits machine-readable CSV or JSON, never plots; with
 no flags beyond the subcommand the defaults reproduce the acceptance
-parameter sets.  Output is deterministic: identical invocations produce
-byte-identical files.
+parameter sets of ``params``.  Output is deterministic: identical
+invocations produce byte-identical files.  A flag given that the run
+does not read is refused before anything is written, so a flag that
+some mode skips defaults to None and gets its default where it is read.
 
-numpy and the finite-difference oracle are imported inside the commands
-that use them, so the exact commands (``polys``, ``ladder``,
-``spectrum``, ``potential``, ``classical``) start without numpy.
+Checks, oracles and numpy are imported inside the commands that run
+them: only ``verify``, ``gram``, ``sl``, ``ladder`` and ``classical
+--probe`` load ``verification``, and ``polys``, ``ladder``, ``spectrum``,
+``potential`` and ``classical`` start without numpy.
 """
 
 import argparse
@@ -17,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import classical, verification
+from . import params
 from .hermite import (
     NORM_GENERATING,
     NORM_RODRIGUES,
@@ -31,10 +34,6 @@ from .params import classify
 from .spectrum import continuous_curve, energies
 # gram_matrix stays bound here for the perfbench tracer, which looks it up
 from .wavefunctions import gram_matrix, wavefunction
-
-# acceptance parameter sets, used as subcommand defaults (the verified
-# ones, and the spectrum's, are owned by the checks in verification)
-POTENTIAL_LAMBDAS = (-2.0, -1.0, 1.0, 2.0)
 
 
 def parse_deformation(text: str, exact: bool = False):
@@ -68,9 +67,35 @@ def _common_flags(p: argparse.ArgumentParser, table: bool = True):
     p.add_argument("--quiet", action="store_true", help="suppress notes")
 
 
+class _Flags:
+    """The parsed command line; remembers which flags the run read.
+    ``names`` gives each flag by its destination, as typed (lam: --lambda)."""
+
+    def __init__(self, parsed, names):
+        self._values, self._names, self._read = vars(parsed), names, set()
+
+    def __getattr__(self, dest):  # reached only for the parsed values
+        if dest not in self._values:
+            raise AttributeError(dest)
+        self._read.add(dest)
+        return self._values[dest]
+
+    def unread(self):
+        """The flags given (not None) that the run has not read."""
+        return [f for d, f in self._names.items()
+                if self._values.get(d) is not None and d not in self._read]
+
+
 def _write(args, text):
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    """The one output path.  The run has read every flag it uses by now,
+    so a flag given but not read is refused here, before any output."""
+    out = args.out
+    unread = args.unread()
+    if unread:
+        raise ValueError(
+            f"this {args.command} run does not read {', '.join(unread)}")
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -86,8 +111,9 @@ def _emit(args, header, rows, json_obj=None):
         buf = io.StringIO()
         write_csv(buf, header, rows)
         text = buf.getvalue()
+    quiet = args.quiet  # read before _write refuses the unread flags
     _write(args, text)
-    if args.out and not args.quiet:
+    if args.out and not quiet:
         print(f"wrote {args.out}")
 
 
@@ -114,10 +140,7 @@ def _lambda(args, default, exact=False, where=None):
 
 
 def cmd_spectrum(args) -> int:
-    if args.figure and args.lam:
-        raise ValueError("--figure3 and --figure4 draw fixed deformations "
-                         "and take no --lambda")
-    lams = args.figure or _lambdas(args, verification.SPECTRUM_REFERENCE)
+    lams = args.figure or _lambdas(args, params.SPECTRUM_LAMBDAS)
     rows = []
     for lam in lams:
         dp = classify(lam)
@@ -131,7 +154,8 @@ def cmd_spectrum(args) -> int:
             import numpy as np
 
             top = (1.0 / lam * 1.6) if lam > 0 else (m_max + 0.5)
-            grid = np.linspace(0.0, top, args.curve_points)
+            points = args.curve_points
+            grid = np.linspace(0.0, top, 201 if points is None else points)
             for m, e in continuous_curve(lam, grid):
                 rows.append((float(lam), "curve", m, e, None, None))
     _emit(args, ["lambda", "kind", "m", "e", "spacing", "bound"], rows)
@@ -151,7 +175,7 @@ def _linspace(start, stop, num):
 
 
 def cmd_potential(args) -> int:
-    lams = _lambdas(args, POTENTIAL_LAMBDAS)
+    lams = _lambdas(args, params.POTENTIAL_LAMBDAS)
     alpha = args.alpha
     rows = []
     for lam in lams:
@@ -160,7 +184,8 @@ def cmd_potential(args) -> int:
             edge = 1.0 / math.sqrt(-lam)
             xs = _linspace(-edge, edge, args.points + 2)[1:-1]
         else:
-            xs = _linspace(-args.xmax, args.xmax, args.points)
+            xmax = 5.0 if args.xmax is None else args.xmax
+            xs = _linspace(-xmax, xmax, args.points)
         for x in xs:
             v = 0.5 * alpha * alpha * x * x / (1.0 + lam * x * x)
             rows.append((lam, "sample", float(x), float(v)))
@@ -247,65 +272,43 @@ def cmd_wavefn(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    lams = _lambdas(args, verification.GRAM_LAMBDAS)
-    rows = []
-    report = []
-    for lam in lams:
+    from . import verification
+
+    rows, report = [], []
+    for lam in _lambdas(args, params.GRAM_LAMBDAS):
         g, dev = verification.gram_comparison(float(lam), args.mmax, args.tol)
         n = g.shape[0]
         rows.extend((float(lam), i, j, float(g[i, j]))
                     for i in range(n) for j in range(n))
-        report.append(
-            {
-                "lambda": float(lam),
-                "size": n,
-                "max_offdiagonal": dev,
-                "matrix": [[float(v) for v in row] for row in g],
-            }
-        )
+        report.append({"lambda": float(lam), "size": n, "max_offdiagonal": dev,
+                       "matrix": [[float(v) for v in row] for row in g]})
     _emit(args, ["lambda", "i", "j", "overlap"], rows, report)
     return 0
 
 
 def cmd_sl(args) -> int:
-    lams = _lambdas(args, verification.SL_LAMBDAS)
-    rows = []
-    report = []
-    for lam in lams:
-        lam = float(lam)
+    from . import verification
+
+    rows, report = [], []
+    for lam in map(float, _lambdas(args, params.SL_LAMBDAS)):
         k, vals, levels, exact, dev = verification.sl_comparison(
             lam, args.k, args.tol)
-        for lv in levels:
-            for m in range(k):
-                rows.append(
-                    (
-                        lam,
-                        lv.n,
-                        m,
-                        float(lv.raw[m]),
-                        float(lv.extrapolated[m]),
-                        lv.error_estimate,
-                    )
-                )
-        report.append(
-            {
-                "lambda": lam,
-                "levels": k,
-                "eigenvalues": [float(v) for v in vals],
-                "closed_form": exact,
-                "max_abs_error": dev,
-                "grids": [
-                    {"n": lv.n, "error_estimate": lv.error_estimate}
-                    for lv in levels
-                ],
-            }
-        )
+        rows.extend((lam, lv.n, m, float(lv.raw[m]), float(lv.extrapolated[m]),
+                     lv.error_estimate) for lv in levels for m in range(k))
+        report.append({"lambda": lam, "levels": k,
+                       "eigenvalues": [float(v) for v in vals],
+                       "closed_form": exact, "max_abs_error": dev,
+                       "grids": [{"n": lv.n,
+                                  "error_estimate": lv.error_estimate}
+                                 for lv in levels]})
     header = ["lambda", "grid", "m", "raw", "extrapolated", "error_estimate"]
     _emit(args, header, rows, report)
     return 0
 
 
 def cmd_ladder(args) -> int:
+    from . import verification
+
     lam = _lambda(args, Fraction(3, 10), exact=True)
     dp = classify(lam)
     n_max = args.nmax
@@ -326,11 +329,13 @@ def cmd_ladder(args) -> int:
 def cmd_classical(args) -> int:
     periods = args.periods
     if args.probe:
-        lams = _lambdas(args, verification.CLASSICAL_LAMBDAS)
+        from . import verification
+
+        lams = _lambdas(args, params.CLASSICAL_LAMBDAS)
         probes = verification.period_probes(
             [float(lam) for lam in lams],
-            args.amplitude or verification.CLASSICAL_AMPLITUDES, args.alpha,
-            verification.CLASSICAL_PERIODS if periods is None else periods,
+            args.amplitude or params.CLASSICAL_AMPLITUDES, args.alpha,
+            params.CLASSICAL_PERIODS if periods is None else periods,
             args.steps_per_period)
         rows = [(lam, amp, probe.period, law, rel, probe.max_rel_energy_drift)
                 for lam, amp, probe, law, rel in probes]
@@ -340,8 +345,10 @@ def cmd_classical(args) -> int:
         ]
         _emit(args, header, rows)
         return 0
+    from . import classical
+
     where = "classical without --probe"
-    lam = float(_lambda(args, verification.CLASSICAL_LAMBDAS[0], where=where))
+    lam = float(_lambda(args, params.CLASSICAL_LAMBDAS[0], where=where))
     amp = _single(args.amplitude or [1.0], "--amplitude", where)
     if args.steps_per_period < 1:
         raise ValueError("steps_per_period must be positive")
@@ -353,20 +360,26 @@ def cmd_classical(args) -> int:
         lam,
         (3 if periods is None else periods) * orbit.period,
         h,
-        sample_every=args.sample_every,
+        sample_every=10 if args.sample_every is None else args.sample_every,
     )
     _emit(args, ["t", "x", "v", "E"], list(zip(traj.t, traj.x, traj.v, traj.e)))
     return 0
 
 
 def cmd_verify(args) -> int:
-    groups = [g for g in verification.ALL_CHECKS if getattr(args, g, False)]
-    lams = [float(lam) for lam in _lambdas(args, [])] or None
-    results = verification.run_checks(groups, lams=lams, tol=args.tol)
+    from . import verification
+
+    groups = [g for g in params.VERIFY_GROUPS if getattr(args, g)]
+    lams = tol = None
+    if not groups or any(g in params.OVERRIDABLE_GROUPS for g in groups):
+        lams = [float(lam) for lam in _lambdas(args, [])] or None
+        tol = args.tol
+    results = verification.run_checks(groups, lams=lams, tol=tol)
     records = [r.to_dict() for r in results]
     ok = all(r.passed for r in results)
+    quiet = args.quiet  # read before _write refuses the unread flags
     _write(args, dumps_json(records))
-    if not args.quiet:
+    if not quiet:
         n_pass = sum(r.passed for r in results)
         print(f"{n_pass}/{len(results)} checks passed", file=sys.stderr)
     return 0 if ok else 1
@@ -393,14 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--figure4", dest="figure", action="store_const",
                         const=(0.30, -0.30, 0.0),
                         help="curves at +-0.30 plus the linear oscillator")
-    p.add_argument("--curve-points", type=int, default=201)
+    p.add_argument("--curve-points", type=int,
+                   help="samples per curve of a figure (default: 201)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("potential", help="potential samples")
     _common_flags(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--points", type=int, default=201)
-    p.add_argument("--xmax", type=float, default=5.0)
+    p.add_argument("--xmax", type=float, help="samples span +-xmax at "
+                   "lam >= 0 (default: 5), and the walls at lam < 0")
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("polys", help="deformed polynomial tables")
@@ -429,15 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="normalized overlap matrices")
     _common_flags(p)
-    p.add_argument("--tol", type=float, default=verification.GRAM_TOL,
+    p.add_argument("--tol", type=float, default=params.GRAM_TOL,
                    help="the off-diagonal bound of verify --gram, which runs "
                         "the quadrature at rtol min(tol/100, 1e-10)")
-    p.add_argument("--mmax", type=int, default=verification.GRAM_MAX_INDEX)
+    p.add_argument("--mmax", type=int, default=params.GRAM_MAX_INDEX)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("sl", help="finite-difference eigensolver tables")
     _common_flags(p)
-    p.add_argument("--tol", type=float, default=verification.SL_TOL,
+    p.add_argument("--tol", type=float, default=params.SL_TOL,
                    help="refinement tolerance, the bound of verify --sl")
     p.add_argument("--k", type=int, help="number of levels (default: bound count)")
     p.set_defaults(func=cmd_sl)
@@ -455,16 +470,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int,
                    help="default: 3 for trajectories, 100 for --probe")
     p.add_argument("--steps-per-period", type=int,
-                   default=verification.CLASSICAL_STEPS_PER_PERIOD)
-    p.add_argument("--sample-every", type=int, default=10)
+                   default=params.CLASSICAL_STEPS_PER_PERIOD)
+    p.add_argument("--sample-every", type=int,
+                   help="trajectory row stride (default: 10)")
     p.add_argument("--probe", action="store_true",
                    help="emit period/drift measurements instead of a trajectory")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     _common_flags(p, table=False)
-    p.add_argument("--tol", type=float, help="sl and gram check bound")
-    for name in verification.ALL_CHECKS:
+    p.add_argument("--tol", type=float, help="bound of the sl and gram "
+                   "checks (default: theirs); refused unless sl or gram runs, "
+                   "as is --lambda")
+    for name in params.VERIFY_GROUPS:
         p.add_argument(f"--{name}", action="store_true",
                        help=f"run only the {name} checks (combinable)")
     p.set_defaults(func=cmd_verify)
@@ -489,8 +507,11 @@ def _bind_negative_lambdas(argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(
+    parsed = parser.parse_args(
         _bind_negative_lambdas(sys.argv[1:] if argv is None else argv))
+    (commands,) = parser._subparsers._group_actions
+    actions = commands.choices[parsed.command]._actions
+    args = _Flags(parsed, {a.dest: a.option_strings[0] for a in actions})
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -3,12 +3,33 @@
 Values are immutable and all operations are pure.  The deformation
 parameter is accepted either as an exact rational (symbolic pathways)
 or a float (numeric pathways); conversions between the two are always
-explicit, never implicit.
+explicit, never implicit.  The acceptance sets (the spectra's and the
+potential table's deformations, the SL, Gram and classical oracles'
+parameters, and the ``verify`` groups) are written here once, for the
+checks and for the command line, which reads them without the checks.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+SPECTRUM_LAMBDAS = (0.8, 0.4, 0.3)  # the published bound levels
+POTENTIAL_LAMBDAS = (-2.0, -1.0, 1.0, 2.0)
+SL_LAMBDAS = (-0.3, -0.1, 0.0, 0.15, 0.3)
+SL_TOL = 1e-6
+GRAM_LAMBDAS = (-0.3, -0.1, 0.1, 0.3)
+GRAM_TOL = 1e-8
+GRAM_MAX_INDEX = 8
+CLASSICAL_LAMBDAS = (0.5, -0.5, 0.1, -0.1)
+CLASSICAL_AMPLITUDES = (0.5, 1.0)
+CLASSICAL_PERIODS = 100
+CLASSICAL_STEPS_PER_PERIOD = 10_000
+
+# the check groups of ``verify`` in run order, and those whose checks
+# take a deformation set and a tolerance from the command line
+VERIFY_GROUPS = ("poly", "spectrum", "sl", "gram", "ladder", "commutator",
+                 "eigen", "classical", "continuity")
+OVERRIDABLE_GROUPS = ("sl", "gram")
 
 
 @dataclass(frozen=True)

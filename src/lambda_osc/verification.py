@@ -13,18 +13,17 @@ three routes.
 
 The comparisons that the table commands print too (``sl_comparison``,
 ``gram_comparison``, ``ladder_chain``, ``ladder_ratios``,
-``period_probes``) live here once, and so do the acceptance parameters
-of the numeric oracles, which are also the command-line defaults.  The
-classical period probes are independent trajectories, so
-``period_probes`` fans them out over the CPUs this process may use, in
-forked worker processes.  Each worker runs
+``period_probes``) live here once; the acceptance parameters and the
+group names come from ``params``.  The classical period probes are
+independent trajectories, so ``period_probes`` fans them out over the
+CPUs this process may use, in forked worker processes.  Each worker runs
 the same stepper on the same inputs and the probes are collected in
 submission order, so the results are the same as from one process, bit
 for bit.
 
 Importing this module loads no numpy: the checks that need numpy, or the
-finite-difference oracle, import them when they run, so the command line
-reads the group names and default parameters without paying for either.
+finite-difference oracle, import them when they run, so a ``verify``
+subset loads only what its groups use.
 """
 
 import functools
@@ -33,7 +32,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from . import classical, factorization
+from . import classical, factorization, params
 from .exact import LamPoly
 from .hermite import (
     generating_coeffs,
@@ -63,18 +62,6 @@ class CheckResult:
         d = asdict(self)
         d["pass"] = d.pop("passed")
         return d
-
-
-# acceptance parameters of the numeric oracles (also the CLI defaults)
-SL_LAMBDAS = (-0.3, -0.1, 0.0, 0.15, 0.3)
-SL_TOL = 1e-6
-GRAM_LAMBDAS = (-0.3, -0.1, 0.1, 0.3)
-GRAM_TOL = 1e-8
-GRAM_MAX_INDEX = 8
-CLASSICAL_LAMBDAS = (0.5, -0.5, 0.1, -0.1)
-CLASSICAL_AMPLITUDES = (0.5, 1.0)
-CLASSICAL_PERIODS = 100
-CLASSICAL_STEPS_PER_PERIOD = 10_000
 
 
 def _record(check, parameters, metric, threshold):
@@ -213,12 +200,9 @@ def check_route_equivalence() -> list[CheckResult]:
     return out
 
 
-# published bound levels (the deformations are the spectrum defaults)
-SPECTRUM_REFERENCE = {
-    0.8: [0.5, 1.1],
-    0.4: [0.5, 1.3, 1.7],
-    0.3: [0.5, 1.35, 1.90, 2.15],
-}
+# published bound levels at the spectrum's default deformations
+SPECTRUM_REFERENCE = dict(zip(params.SPECTRUM_LAMBDAS, (
+    [0.5, 1.1], [0.5, 1.3, 1.7], [0.5, 1.35, 1.90, 2.15]), strict=True))
 
 
 def check_spectrum_values(tol: float = 1e-12) -> list[CheckResult]:
@@ -269,8 +253,8 @@ def sl_comparison(lam: float, k: int | None, tol: float):
     return k, vals, levels, exact, dev
 
 
-def check_sl_crossval(tol: float = SL_TOL,
-                      lams=SL_LAMBDAS) -> list[CheckResult]:
+def check_sl_crossval(tol: float = params.SL_TOL,
+                      lams=params.SL_LAMBDAS) -> list[CheckResult]:
     """Refined finite-difference eigenvalues against the closed form."""
     from . import sturm_liouville
 
@@ -303,12 +287,12 @@ def gram_comparison(lam: float, max_index: int, tol: float):
     return g, float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
-def check_gram(tol: float = GRAM_TOL,
-               lams=GRAM_LAMBDAS) -> list[CheckResult]:
+def check_gram(tol: float = params.GRAM_TOL,
+               lams=params.GRAM_LAMBDAS) -> list[CheckResult]:
     """Normalized orthogonality of all bound pairs up to GRAM_MAX_INDEX."""
     out = []
     for lam in lams:
-        g, dev = gram_comparison(lam, GRAM_MAX_INDEX, tol)
+        g, dev = gram_comparison(lam, params.GRAM_MAX_INDEX, tol)
         out.append(
             _record("gram_offdiagonal", {"lambda": lam, "size": g.shape[0]},
                     dev, tol)
@@ -489,10 +473,10 @@ def period_probes(lams, amplitudes, alpha: float, n_periods: int,
 
 
 def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
-                    lams=CLASSICAL_LAMBDAS,
-                    amplitudes=CLASSICAL_AMPLITUDES,
-                    n_periods: int = CLASSICAL_PERIODS,
-                    steps_per_period: int = CLASSICAL_STEPS_PER_PERIOD,
+                    lams=params.CLASSICAL_LAMBDAS,
+                    amplitudes=params.CLASSICAL_AMPLITUDES,
+                    n_periods: int = params.CLASSICAL_PERIODS,
+                    steps_per_period: int = params.CLASSICAL_STEPS_PER_PERIOD,
                     ) -> list[CheckResult]:
     """Measured period against the amplitude-frequency law, plus drift."""
     out = []
@@ -544,21 +528,17 @@ def check_small_deformation_continuity(tol: float = 1e-4) -> list[CheckResult]:
     return out
 
 
-ALL_CHECKS = {
-    "poly": (check_polynomial_tables, check_route_equivalence),
-    "spectrum": (check_spectrum_values, check_bound_counts),
-    "sl": (check_sl_crossval,),
-    "gram": (check_gram,),
-    "ladder": (check_ladder,),
-    "commutator": (check_commutator,),
-    "eigen": (check_eigen_equation,),
-    "classical": (check_classical,),
-    "continuity": (check_small_deformation_continuity,),
-}
-
-
-# groups whose checks take the ``lams`` and ``tol`` overrides of run_checks
-_OVERRIDABLE = ("sl", "gram")
+ALL_CHECKS = dict(zip(params.VERIFY_GROUPS, (
+    (check_polynomial_tables, check_route_equivalence),
+    (check_spectrum_values, check_bound_counts),
+    (check_sl_crossval,),
+    (check_gram,),
+    (check_ladder,),
+    (check_commutator,),
+    (check_eigen_equation,),
+    (check_classical,),
+    (check_small_deformation_continuity,),
+), strict=True))
 
 
 def run_checks(groups=None, lams=None, tol=None) -> list[CheckResult]:
@@ -574,7 +554,7 @@ def run_checks(groups=None, lams=None, tol=None) -> list[CheckResult]:
     for name, fns in ALL_CHECKS.items():
         if groups and name not in groups:
             continue
-        kwargs = overrides if name in _OVERRIDABLE else {}
+        kwargs = overrides if name in params.OVERRIDABLE_GROUPS else {}
         for fn in fns:
             results.extend(fn(**kwargs))
     return results

@@ -104,6 +104,15 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ClassicalState(1.5, 0.0), 1.0, -0.5, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("total_time", [-1e-3, -1.0, math.nan])
+    def test_negative_total_time_refused(self, total_time):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            integrate(ClassicalState(1.0, 0.0), 1.0, 0.5, total_time, 1e-2)
+
+    def test_zero_total_time_takes_one_step(self):
+        traj = integrate(ClassicalState(1.0, 0.0), 1.0, 0.5, 0.0, 1e-2)
+        assert traj.t == [0.0, 1e-2]
+
     def test_numerical_overshoot_aborts_with_time(self):
         # a coarse step drives the arclength drift across the wall
         with pytest.raises(DomainExitError) as err:

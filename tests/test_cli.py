@@ -92,8 +92,7 @@ class TestSpectrumCommand:
         assert main(["spectrum", f"--figure{figure}", "--lambda", "0.5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: --figure3 and --figure4 draw fixed "
-                                "deformations and take no --lambda\n")
+        assert captured.err == "error: this spectrum run does not read --lambda\n"
 
     def test_one_figure_at_a_time(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -383,6 +382,18 @@ class TestImport:
     def test_eigensolving_commands_load_no_scipy(self, argv):
         assert self.loaded_after(argv, ["numpy", "scipy"]) == ["0", "numpy"]
 
+    CHECK_MODULES = ["lambda_osc.verification", "lambda_osc.classical",
+                     "lambda_osc.factorization"]
+
+    @pytest.mark.parametrize("argv", [["polys"], ["spectrum"], ["potential"],
+                                      ["wavefn", "--normalized"]])
+    def test_table_commands_load_no_checks(self, argv):
+        assert self.loaded_after(argv, self.CHECK_MODULES) == ["0"]
+
+    def test_trajectory_loads_only_the_integrator(self):
+        assert self.loaded_after(["classical"], self.CHECK_MODULES) == [
+            "0", "lambda_osc.classical"]
+
     def test_only_the_oracle_loads_quadrature(self):
         # norms are closed forms; quadrature is the overlap oracle of gram
         quad = ["lambda_osc.quadrature"]
@@ -510,6 +521,64 @@ class TestUnreadFlags:
         assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
+class TestFlagsTheRunDoesNotRead:
+    # one rule: a flag given but not read by this run is refused before
+    # anything is written, not dropped
+    @pytest.mark.parametrize("argv, command, flag", [
+        (["potential", "--lambda", "-1", "--xmax", "0.2"], "potential",
+         "--xmax"),
+        # two periods per probe: the refusal follows the probes' work
+        (["classical", "--probe", "--periods", "2", "--sample-every", "7"],
+         "classical", "--sample-every"),
+        (["spectrum", "--curve-points", "3"], "spectrum", "--curve-points"),
+        (["verify", "--poly", "--tol", "1e-3"], "verify", "--tol"),
+        (["verify", "--poly", "--lambda", "0.2"], "verify", "--lambda"),
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_refused(self, argv, command, flag, to_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: this {command} run does not read {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # read at the positive deformation
+        ["potential", "--lambda", "-1", "--lambda", "1", "--xmax", "2"],
+        ["polys", "--quiet"],  # --format, --out and --quiet are always read
+    ])
+    def test_read_somewhere_in_the_run(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out and "error" not in captured.err
+
+    def test_read_where_a_mode_takes_it(self, capsys):
+        # these default to None; their defaults are set where they are read
+        assert main(["potential", "--lambda", "1", "--xmax", "2", "--points",
+                     "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:4] == [
+            "1.0,sample,-2.0,0.4", "1.0,sample,0.0,0.0", "1.0,sample,2.0,0.4"]
+        assert main(["spectrum", "--figure3", "--curve-points", "3"]) == 0
+        curves = [r for r in capsys.readouterr().out.splitlines()
+                  if ",curve," in r]
+        assert len(curves) == 3 * 2  # at each of the two deformations
+        assert main(["classical", "--periods", "1", "--sample-every", "5000",
+                     "--steps-per-period", "10000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
+    def test_verify_deformations_with_every_group(self, monkeypatch, capsys):
+        # sl and gram run, so --lambda and --tol are read
+        from lambda_osc import verification
+
+        calls = []
+        monkeypatch.setattr(verification, "run_checks",
+                            lambda *a, **kw: calls.append((a, kw)) or [])
+        assert run_cli(capsys, "verify", "--lambda", "0.2", "--tol", "1e-7",
+                       "--quiet") == (0, "[]\n")
+        assert calls == [(([],), {"lams": [0.2], "tol": 1e-7})]
+
+
 class TestTolFlag:
     # only the commands that run a tolerance-controlled oracle take --tol
     @pytest.mark.parametrize("command", ["spectrum", "potential", "polys",
@@ -590,6 +659,13 @@ class TestClassicalCommand:
         assert main(["classical", *probe, "--steps-per-period", "0"]) == 1
         err = capsys.readouterr().err
         assert err == "error: steps_per_period must be positive\n"
+
+    def test_negative_periods_refused(self, capsys):
+        assert main(["classical", "--periods", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: total_time -")
+        assert captured.err.endswith(" must be nonnegative\n")
 
     @pytest.mark.parametrize("probe", [[], ["--probe"]])
     def test_zero_alpha_refused(self, probe, capsys):
