@@ -143,19 +143,16 @@ def cmd_spectrum(args) -> int:
     lams = args.figure or _lambdas(args, params.SPECTRUM_LAMBDAS)
     rows = []
     for lam in lams:
-        dp = classify(lam)
         m_max = args.mmax
         if m_max is None:
-            m_max = dp.n_max if dp.n_max is not None else 8
+            m_max = classify(lam).top_index(8)
         table = energies(lam, m_max)
         for m, e, spacing, bound in table.rows():
             rows.append((float(lam), "level", float(m), e, spacing, bound))
         if args.figure:
-            import numpy as np
-
             top = (1.0 / lam * 1.6) if lam > 0 else (m_max + 0.5)
             points = args.curve_points
-            grid = np.linspace(0.0, top, 201 if points is None else points)
+            grid = _linspace(0.0, top, 201 if points is None else points)
             for m, e in continuous_curve(lam, grid):
                 rows.append((float(lam), "curve", m, e, None, None))
     _emit(args, ["lambda", "kind", "m", "e", "spacing", "bound"], rows)
@@ -181,8 +178,10 @@ def cmd_potential(args) -> int:
     for lam in lams:
         lam = float(lam)
         if lam < 0:
+            # the walls are dropped; a negative count is refused as given
             edge = 1.0 / math.sqrt(-lam)
-            xs = _linspace(-edge, edge, args.points + 2)[1:-1]
+            n = args.points
+            xs = _linspace(-edge, edge, n + 2 if n >= 0 else n)[1:-1]
         else:
             xmax = 5.0 if args.xmax is None else args.xmax
             xs = _linspace(-xmax, xmax, args.points)
@@ -235,8 +234,7 @@ def cmd_wavefn(args) -> int:
 
     lam = _lambda(args, 0.3)
     dp = classify(lam)
-    top = 3 if dp.n_max is None else min(dp.n_max, 3)
-    ms = args.m if args.m else list(range(top + 1))
+    ms = args.m if args.m else list(range(dp.top_index(3) + 1))
     ws = [wavefunction(m, lam) for m in ms]
     wall = dp.half_width
     hi = args.ymax
@@ -310,10 +308,9 @@ def cmd_ladder(args) -> int:
     from . import verification
 
     lam = _lambda(args, Fraction(3, 10), exact=True)
-    dp = classify(lam)
     n_max = args.nmax
     if n_max is None:
-        n_max = dp.n_max if dp.n_max is not None else 8
+        n_max = classify(lam).top_index(8)
     chain = verification.ladder_chain(lam, n_max)
     ratios = verification.ladder_ratios(lam, n_max)
     rows = [
@@ -398,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form energy levels")
     _common_flags(p)
-    p.add_argument("--mmax", type=int, help="highest index (default: bound range)")
+    p.add_argument("--mmax", type=int, help="highest index (default: the "
+                   "last bound index, at most 8)")
     figure = p.add_mutually_exclusive_group()
     figure.add_argument("--figure3", dest="figure", action="store_const",
                         const=(0.30, 0.15),
@@ -459,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ladder", help="shape-invariance chain energies")
     _common_flags(p)
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--nmax", type=int, help="highest index (default: the "
+                   "last bound index, at most 8)")
     p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("classical", help="trajectories and the period law")

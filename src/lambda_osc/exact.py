@@ -39,6 +39,20 @@ def integer_numerators(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def horner(coeffs, points):
+    """(N, D) with N / D the exact value of sum_k coeffs[k] x^k at each
+    rational x = p/q, given as (p, q) with q > 0: Horner on the integer
+    numerators, each term times the power of q it lacks."""
+    nums, den = integer_numerators(coeffs)
+    out = []
+    for p, q in points:
+        acc, qk = 0, 1
+        for c in reversed(nums):
+            acc, qk = acc * p + c * qk, qk * q
+        out.append((acc * q, den * qk))
+    return out
+
+
 class DensePoly:
     """Immutable dense univariate polynomial over an exact coefficient ring.
 
@@ -187,21 +201,10 @@ class LamPoly(DensePoly):
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = LamPoly((1,))
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __call__(self, lam):
-        """Evaluate at a deformation value (exact arguments stay exact)."""
-        exact = isinstance(lam, (Fraction, int))
-        acc = Fraction(0) if exact else lam * 0
-        for c in reversed(self.coeffs):
-            acc = acc * lam + (c if exact else float(c))
-        return acc
+        """The exact value at a rational deformation value."""
+        (value,) = horner(self.coeffs, [exact_rational(lam).as_integer_ratio()])
+        return Fraction(*value)
 
     def __str__(self):
         if not self.coeffs:

@@ -84,9 +84,15 @@ class DeformationParam:
     cutoff: object = None       # 1/lam, positive sign only
     n_max: int | None = None    # greatest integer strictly below cutoff
 
+    def top_index(self, cap: int) -> int:
+        """A table's default top: the last bound index, at most ``cap``."""
+        return cap if self.n_max is None else min(self.n_max, cap)
+
 
 def classify(lam) -> DeformationParam:
-    """Classify a finite deformation value by sign and derived quantities."""
+    """Classify a finite deformation value by sign and derived quantities;
+    a positive float below about 5.6e-309, whose cutoff 1/lam overflows
+    float range, raises ValueError as a non-finite value does."""
     if isinstance(lam, float) and not math.isfinite(lam):
         raise ValueError(f"deformation parameter must be finite, got {lam}")
     if lam == 0:
@@ -95,6 +101,9 @@ def classify(lam) -> DeformationParam:
         cutoff = (
             Fraction(1) / lam if isinstance(lam, (Fraction, int)) else 1.0 / lam
         )
+        if cutoff == math.inf:
+            raise ValueError(f"deformation {lam} is too small: its cutoff "
+                             "1/lambda overflows float range")
         # strict inequality m < cutoff: an integer cutoff k gives n_max = k-1,
         # since the borderline state's norm integral diverges
         n_max = math.ceil(cutoff) - 1

@@ -25,15 +25,16 @@ alpha = 0 or z divides Q, so a result with alpha != 0 is canonical as
 built; only alpha = 0 goes through the long division by z.
 
 A float value is the exact value rounded once: ``LambdaPoly.__call__``
-runs ``evaluate_exact``'s integer kernel at each sample's binary value,
-and a ``LadderFunction`` multiplies that by the float envelope.  Only
-these float evaluations import numpy.
+runs ``evaluate_exact``'s integer kernel, ``exact.horner``, at each
+sample's binary value, and a ``LadderFunction`` multiplies that by the
+float envelope.  Only these float evaluations import numpy.
 """
 
 import math
 from fractions import Fraction
 
-from .exact import DensePoly, LamPoly, exact_rational, integer_numerators
+from .exact import (DensePoly, LamPoly, exact_rational, horner,
+                    integer_numerators)
 
 GENERIC = None  # sentinel for poly.lam in generic mode
 DERIVATIVE = (0, 1, -1)  # d/dy as a (b, beta, ds) step of first_order
@@ -163,18 +164,10 @@ class LambdaPoly(DensePoly):
 
     # -- evaluation -------------------------------------------------------
     def _values(self, points):
-        """(N, D) with N / D the exact value at each rational p/q: Horner
-        on integer numerators, each term times the power of q it lacks."""
+        """``exact.horner`` at each rational (p, q); fixed mode only."""
         if self.generic:
             raise ValueError("generic polynomial needs a deformation value")
-        nums, den = integer_numerators(self.coeffs)
-        out = []
-        for p, q in points:
-            acc, qk = 0, 1
-            for c in reversed(nums):
-                acc, qk = acc * p + c * qk, qk * q
-            out.append((acc * q, den * qk))
-        return out
+        return horner(self.coeffs, points)
 
     def evaluate_exact(self, y):
         """The exact value at a rational y (a Fraction or int)."""

@@ -113,19 +113,18 @@ def _leggauss(n: int):
 
 
 def _paired_nodes(n: int):
-    """Positive Gauss-Legendre nodes with weights, plus the center term.
+    """Positive Gauss-Legendre nodes with their weights.
 
-    Returns (x_pos, w_pos, w_center); the rule on (-1, 1) is recovered
-    by summing w*(f(x) + f(-x)) over the pairs plus w_center*f(0).
-    Pairing enforces exact cancellation for odd integrands.
+    Returns (x_pos, w_pos); the rule on (-1, 1) is the sum of
+    w*(f(x) + f(-x)) over the pairs.  Every rule has START_NODES * 2^k
+    nodes, an even count, so none sits at the centre.  Pairing enforces
+    exact cancellation for odd integrands.
     """
     cached = _NODE_CACHE.get(n)
     if cached is not None:
         return cached
     x, w = _leggauss(n)
-    pos = x > 1e-14
-    center = np.abs(x) <= 1e-14
-    out = (x[pos], w[pos], float(w[center].sum()))
+    out = (x[x > 0], w[x > 0])
     _NODE_CACHE[n] = out
     return out
 
@@ -135,16 +134,12 @@ def _estimate(f_of_t, half_len: float, n: int):
 
     Returns (integral, integral of |f|, max |f| at the two edgemost nodes).
     """
-    xp, wp, wc = _paired_nodes(n)
+    xp, wp = _paired_nodes(n)
     t = xp * half_len
     fp = np.asarray(f_of_t(t), dtype=float)
     fm = np.asarray(f_of_t(-t), dtype=float)
     total = float(np.sum(wp * (fp + fm)) * half_len)
     total_abs = float(np.sum(wp * (np.abs(fp) + np.abs(fm))) * half_len)
-    if wc:
-        f0 = float(np.asarray(f_of_t(np.array([0.0]))).ravel()[0])
-        total += wc * f0 * half_len
-        total_abs += wc * abs(f0) * half_len
     edge = max(abs(float(fp[-1])), abs(float(fm[-1])))
     return total, total_abs, edge
 

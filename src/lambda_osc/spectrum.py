@@ -114,4 +114,4 @@ def ladder_energies(p: PhysicalParams, n_max: int) -> list:
 
 def continuous_curve(lam: float, m_values):
     """The level formula extended to real m, for curve exports."""
-    return [(float(m), (m + 0.5) - 0.5 * m * m * float(lam)) for m in m_values]
+    return [(float(m), energy(float(lam), m)) for m in m_values]

@@ -20,6 +20,7 @@ when they run.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from .exact import exact_rational
@@ -27,10 +28,6 @@ from .hermite import NORM_GENERATING, generating_coeffs, recursion_coeffs
 from .params import classify
 from .polynomials import LadderFunction, LambdaPoly
 from .spectrum import energy
-
-# below this the envelope switches to its analytic limit exp(-y^2/2);
-# the direct power form loses about half the digits as lam -> 0
-ENVELOPE_SWITCH = 1e-8
 
 # from this b on, Gamma(b + 1/2)/Gamma(b) comes from its asymptotic series
 # rather than math.gamma; six terms leave a truncation error below 1e-17
@@ -47,14 +44,16 @@ _NORM_EXPONENT_CAP = 2200
 def envelope(y, lam) -> float:
     """The decay factor (1 + lam*y^2)^(-1/(2 lam)) on the domain.
 
-    Near zero deformation the analytically-equal Gaussian limit is used
-    to avoid catastrophic cancellation.
+    Evaluated as exp(-log1p(lam*y^2) / (2 lam)), which keeps full relative
+    precision as lam -> 0.  Its limit exp(-y^2/2) stands in only where
+    that form cannot be evaluated, at lam = 0 and subnormal lam; there
+    the two agree to double precision.
     """
     import numpy as np
 
     lam_f = float(lam)
     y = np.asarray(y, dtype=float)
-    if abs(lam_f) < ENVELOPE_SWITCH:
+    if abs(lam_f) < sys.float_info.min:
         out = np.exp(-0.5 * y * y)
     else:
         with np.errstate(divide="ignore"):
@@ -287,13 +286,13 @@ def eigen_equation_residual(m: int, lam, ys) -> float:
     (1+lam*y^2) psi'' + lam*y psi' - (1+lam) y^2/(1+lam*y^2) psi + 2e psi = 0
     over the sample points, with derivatives taken analytically on the
     closed z^s * Q family (exact polynomials, each value rounded once,
-    times the float envelope)."""
+    times the float envelope); at lam = 0 the family carries the
+    Gaussian limit."""
     import numpy as np
 
     lam = exact_rational(lam)
-    if lam == 0:
-        raise ValueError("use the classical oscillator for zero deformation")
-    psi = LadderFunction(lam, -1 / (2 * lam), generating_coeffs(m, lam)[m])
+    s = -1 / (2 * lam) if lam else 0
+    psi = LadderFunction(lam, s, generating_coeffs(m, lam)[m])
     dpsi = psi.differentiate()
     e = float(energy(lam, m))
     ys = np.asarray(ys, dtype=float)

@@ -103,7 +103,7 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("figure", ["--figure3", "--figure4"])
     def test_figure_csv_cells_are_plain_floats(self, capsys, figure):
-        # the curve energies are numpy floats; CSV must not spell their type
+        # CSV must not spell a numpy float's type, np.float64(...)
         _, out = run_cli(capsys, "spectrum", figure)
         lines = out.strip().split("\n")
         curves = [line.split(",") for line in lines if ",curve," in line]
@@ -171,6 +171,16 @@ class TestPotentialCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: Number of samples, -1, must be non-negative.\n")
+
+    @pytest.mark.parametrize("points", ["-1", "-2"])
+    def test_negative_point_count_between_the_walls_is_an_error(
+            self, points, capsys):
+        # points + 2 samples span the walls; -1 and -2 must not pass as 1, 0
+        assert main(["potential", "--lambda", "-1", "--points", points]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: Number of samples, {points}, must be non-negative.\n")
 
 
 class TestPolysCommand:
@@ -373,9 +383,10 @@ class TestImport:
         return done.stdout.split()
 
     @pytest.mark.parametrize("command", ["polys", "ladder", "spectrum",
-                                         "potential", "classical"])
+                                         "potential", "classical",
+                                         "spectrum --figure3"])
     def test_exact_commands_load_neither_numpy_nor_scipy(self, command):
-        assert self.loaded_after([command], ["numpy", "scipy"]) == ["0"]
+        assert self.loaded_after(command.split(), ["numpy", "scipy"]) == ["0"]
 
     @pytest.mark.parametrize("argv", [["gram"], ["sl"],
                                       ["wavefn", "--normalized"], ["verify"]])
@@ -417,6 +428,35 @@ class TestDeterminism:
         capsys.readouterr()
         text = out.read_text()
         assert "0.29999999999999999" in text  # 17 significant digits of 0.3
+
+
+class TestTinyPositiveDeformation:
+    @staticmethod
+    def _limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--lambda", "1e-300"],
+                                      ["ladder", "--lambda", "1/1000000000"]])
+    def test_default_table_ends_in_bounded_time(self, argv):
+        # 10^300 and 10^9 levels are bound; the default stops at index 8
+        src = Path(lambda_osc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "lambda_osc.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=10,
+            preexec_fn=self._limit_memory)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(done.stdout.strip().split("\n")) == 1 + 9
+
+    @pytest.mark.parametrize("command", ["spectrum", "wavefn"])
+    def test_cutoff_past_float_range_is_an_error(self, command, capsys):
+        assert main([command, "--lambda", "1e-320"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: deformation 1e-320 is too small: its "
+                                "cutoff 1/lambda overflows float range\n")
 
 
 class TestLadderCommand:

@@ -69,7 +69,7 @@ class TestLamPoly:
         assert p(Fraction(1, 2)) == 0
         assert p(Fraction(1)) == 0
         assert p(Fraction(2)) == 3
-        assert p(0.5) == pytest.approx(0.0)
+        assert p(Fraction(-1, 3)) == Fraction(20, 9)
 
     def test_divmod_exact(self):
         num = LamPoly((1, -3, 2))
@@ -103,6 +103,8 @@ class TestLamPoly:
     def test_floats_refused(self):
         with pytest.raises(TypeError):
             LamPoly((0.5,))
+        with pytest.raises(TypeError):  # evaluation is exact, as is the rest
+            LamPoly((1, 2))(0.5)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

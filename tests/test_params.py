@@ -56,6 +56,23 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(float("inf"))
 
+    @pytest.mark.parametrize("lam", [5e-309, 1e-320, 5e-324])
+    def test_rejects_a_cutoff_past_float_range(self, lam):
+        with pytest.raises(ValueError, match="too small"):
+            classify(lam)
+
+    def test_smallest_classifiable_values(self):
+        # 1/lam is finite just above 5.56e-309, and a tiny Fraction's exact
+        # cutoff is an integer of any size
+        assert classify(5.6e-309).n_max > 10**308
+        assert classify(Fraction(1, 10**400)).n_max == 10**400 - 1
+        assert classify(-5e-324).half_width > 0
+
+    def test_top_index_is_the_last_bound_one_up_to_the_cap(self):
+        assert [classify(lam).top_index(8) for lam in (0.3, 1 / 9, 0.05)] == [
+            3, 8, 8]
+        assert classify(0.0).top_index(3) == classify(-0.5).top_index(3) == 3
+
 
 class TestPhysicalParams:
     def test_g_identity_exact(self):

@@ -32,8 +32,8 @@ class TestEnvelope:
         assert envelope(1.0, 1.0) == pytest.approx(2.0**-0.5, rel=1e-15)
 
     def test_branch_continuity(self):
-        # values on either side of the switch threshold agree up to the
-        # analytic gap between the two forms, lam*y^4/4 at the threshold
+        # values at two nearby small deformations agree up to the first
+        # term of the deformation, lam*y^4/4
         for y in (0.5, 1.5, 3.0):
             below = envelope(y, 0.99e-8)
             above = envelope(y, 1.01e-8)
@@ -42,6 +42,20 @@ class TestEnvelope:
 
     def test_vanishes_at_negative_wall(self):
         assert envelope(0.9999999999, -1.0) < 1e-4
+
+    @pytest.mark.parametrize("y,lam", [(8.0, 1e-9), (3.0, -1e-9)])
+    def test_small_deformation_keeps_its_correction(self, y, lam):
+        # -log1p(lam y^2)/(2 lam) to third order; the Gaussian alone is off
+        # by lam*y^4/4 relative (1.0e-6 at y = 8)
+        series = -y**2 / 2 + lam * y**4 / 4 - lam**2 * y**6 / 6
+        assert envelope(y, lam) == pytest.approx(math.exp(series), rel=1e-13,
+                                                 abs=0)
+
+    @pytest.mark.parametrize("lam", [5e-324, -5e-324])
+    def test_subnormal_deformation_is_the_gaussian(self, lam):
+        # lam*y^2 and its ratio to 2 lam lose their digits below the
+        # smallest normal float; exp(-1) at -5e-324 if the log1p form ran
+        assert envelope(1.5, lam) == math.exp(-1.125)
 
 
 class TestEvaluate:
@@ -386,7 +400,8 @@ class TestEigenEquation:
     @pytest.mark.parametrize(
         "lam,m_top",
         [(Fraction(3, 10), 3), (Fraction(-3, 10), 8),
-         (Fraction(1, 10), 9), (Fraction(-1, 10), 8)],
+         (Fraction(1, 10), 9), (Fraction(-1, 10), 8),
+         (Fraction(0), 8)],  # the Gaussian limit of the z^s * Q family
     )
     def test_residual_small(self, lam, m_top):
         if lam < 0:
@@ -409,10 +424,6 @@ class TestEigenEquation:
         else:
             ys = np.linspace(-4.0, 4.0, 50)
         assert eigen_equation_residual(m, lam, ys) <= 1e-9
-
-    def test_zero_deformation_rejected(self):
-        with pytest.raises(ValueError):
-            eigen_equation_residual(1, 0, [0.5])
 
     def test_wrong_eigenvalue_fails(self):
         # sanity: the residual is actually sensitive to the eigenvalue
