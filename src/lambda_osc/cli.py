@@ -15,7 +15,6 @@ them: only ``verify``, ``gram``, ``sl``, ``ladder`` and ``classical
 
 import argparse
 import io
-import math
 import re
 import sys
 from fractions import Fraction
@@ -177,9 +176,9 @@ def cmd_potential(args) -> int:
     rows = []
     for lam in lams:
         lam = float(lam)
-        if lam < 0:
+        edge = classify(lam).half_width
+        if edge is not None:
             # the walls are dropped; a negative count is refused as given
-            edge = 1.0 / math.sqrt(-lam)
             n = args.points
             xs = _linspace(-edge, edge, n + 2 if n >= 0 else n)[1:-1]
         else:
@@ -452,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--tol", type=float, default=params.SL_TOL,
                    help="refinement tolerance, the bound of verify --sl")
-    p.add_argument("--k", type=int, help="number of levels (default: bound count)")
+    p.add_argument("--k", type=int, help="number of levels (default: every "
+                   "bound level, at most 7, as verify --sl uses)")
     p.set_defaults(func=cmd_sl)
 
     p = sub.add_parser("ladder", help="shape-invariance chain energies")

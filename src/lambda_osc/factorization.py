@@ -105,15 +105,8 @@ def build_state(n: int, lam) -> "WaveFunction":
     # here, not at module level: the operator algebra needs no eigenfunctions
     from .wavefunctions import WaveFunction
 
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     lam = exact_rational(lam)
-    dp = classify(lam)
-    if dp.n_max is not None and n > dp.n_max:
-        raise ValueError(
-            f"index {n} is not normalizable at deformation {lam} "
-            f"(cutoff {dp.cutoff})"
-        )
+    classify(lam).check_index(n)
     f = ground_function(lam, chain_b(n, lam)).first_order(
         [_step(raising(lam, chain_b(k, lam))) for k in range(n - 1, -1, -1)]
     )

@@ -84,6 +84,18 @@ class DeformationParam:
     cutoff: object = None       # 1/lam, positive sign only
     n_max: int | None = None    # greatest integer strictly below cutoff
 
+    def is_bound(self, m: int) -> bool:
+        """Whether the index m >= 0 is normalizable (m < cutoff)."""
+        return self.n_max is None or m <= self.n_max
+
+    def check_index(self, m: int) -> None:
+        """Refuse a negative index, or one this deformation does not bind."""
+        if m < 0:
+            raise ValueError("index must be nonnegative")
+        if not self.is_bound(m):
+            raise ValueError(f"index {m} is not normalizable at deformation "
+                             f"{self.lam} (cutoff {self.cutoff})")
+
     def top_index(self, cap: int) -> int:
         """A table's default top: the last bound index, at most ``cap``."""
         return cap if self.n_max is None else min(self.n_max, cap)

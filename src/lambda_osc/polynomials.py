@@ -27,10 +27,12 @@ built; only alpha = 0 goes through the long division by z.
 A float value is the exact value rounded once: ``LambdaPoly.__call__``
 runs ``evaluate_exact``'s integer kernel, ``exact.horner``, at each
 sample's binary value, and a ``LadderFunction`` multiplies that by the
-float envelope.  Only these float evaluations import numpy.
+float power of z that ``wavefunctions.envelope`` uses too, ``z_power``.
+Only these float evaluations import numpy.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from .exact import (DensePoly, LamPoly, exact_rational, horner,
@@ -230,6 +232,19 @@ class LambdaPoly(DensePoly):
 # -- the closed z^s * Q family ------------------------------------------------
 
 
+def z_power(y, lam: float, c: float):
+    """z^(c/lam) = exp(c * log1p(lam*y^2)/lam) at float samples y (an
+    ndarray), which keeps full relative precision as lam -> 0; its limit
+    exp(c*y^2) stands in at lam = 0 and subnormal lam, where the two agree
+    to double precision."""
+    import numpy as np
+
+    if abs(lam) < sys.float_info.min:
+        return np.exp(c * y * y)
+    with np.errstate(divide="ignore"):  # log1p(-1) at a wall
+        return np.exp(c * (np.log1p(lam * y * y) / lam))
+
+
 class LadderFunction:
     """A function z^s * Q(y), z = 1 + lam*y^2, closed under d/dy.
 
@@ -393,11 +408,9 @@ class LadderFunction:
         import numpy as np
 
         y = np.asarray(y, dtype=float)
-        if self.lam == 0:
-            env = np.exp(-0.5 * y * y)
-        else:
-            env = np.exp(float(self.s) * np.log1p(float(self.lam) * y * y))
-        out = self.poly(y) * env
+        # z^s = z^(c/lam) with c = s*lam exact, finite for any tiny lam
+        c = self.s * self.lam if self.lam else Fraction(-1, 2)
+        out = self.poly(y) * z_power(y, float(self.lam), float(c))
         return float(out) if out.ndim == 0 else out
 
     def __repr__(self):

@@ -65,12 +65,9 @@ def energies(lam, m_max: int) -> SpectrumTable:
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     dp = classify(lam)
-    n_max = dp.n_max
-    levels = []
-    for m in range(m_max + 1):
-        bound = n_max is None or m <= n_max
-        levels.append(EnergyLevel(m=m, e=energy(lam, m), bound=bound))
-    return SpectrumTable(lam=lam, levels=tuple(levels))
+    levels = tuple(EnergyLevel(m=m, e=energy(lam, m), bound=dp.is_bound(m))
+                   for m in range(m_max + 1))
+    return SpectrumTable(lam=lam, levels=levels)
 
 
 def bound_count(lam) -> int:

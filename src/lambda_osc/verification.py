@@ -205,7 +205,7 @@ SPECTRUM_REFERENCE = dict(zip(params.SPECTRUM_LAMBDAS, (
     [0.5, 1.1], [0.5, 1.3, 1.7], [0.5, 1.35, 1.90, 2.15]), strict=True))
 
 
-def check_spectrum_values(tol: float = 1e-12) -> list[CheckResult]:
+def check_spectrum_values() -> list[CheckResult]:
     """Closed-form energies against the published bound-level values."""
     out = []
     for lam, ref in SPECTRUM_REFERENCE.items():
@@ -216,7 +216,7 @@ def check_spectrum_values(tol: float = 1e-12) -> list[CheckResult]:
         unbound = [lv for lv in table.levels if not lv.bound]
         metric = dev if not unbound else math.inf
         out.append(
-            _record("spectrum_values", {"lambda": lam}, metric, tol)
+            _record("spectrum_values", {"lambda": lam}, metric, 1e-12)
         )
     return out
 
@@ -240,13 +240,13 @@ def check_bound_counts() -> list[CheckResult]:
 
 
 def sl_comparison(lam: float, k: int | None, tol: float):
-    """The lowest k levels (None: every bound one for lam > 0, else 7)
-    refined to ``tol``, against the closed form: (k, eigenvalues,
-    refinement levels, closed-form energies, largest absolute deviation)."""
+    """The lowest k levels (None: every bound one, at most 7) refined to
+    ``tol``, against the closed form: (k, eigenvalues, refinement levels,
+    closed-form energies, largest absolute deviation)."""
     from . import sturm_liouville
 
     if k is None:
-        k = bound_count(lam) if lam > 0 else 7
+        k = params.classify(lam).top_index(6) + 1
     vals, levels = sturm_liouville.refine(lam, k, tol=tol)
     exact = [float(energy(lam, m)) for m in range(k)]
     dev = max(abs(v - e) for v, e in zip(vals, exact))
@@ -379,20 +379,16 @@ def _operator_battery(lam: Fraction) -> list[LadderFunction]:
     ]
     exponents = [Fraction(0), Fraction(1, 2), Fraction(-3, 2),
                  -1 / (2 * lam), Fraction(2)]
-    out = []
-    for i in range(10):
-        out.append(
-            LadderFunction(lam, exponents[i % len(exponents)],
-                           polys[i % len(polys)])
-        )
-    return out
+    # the second five shift the exponents by one, so all ten differ
+    return [LadderFunction(lam, exponents[(i + i // 5) % 5], polys[i % 5])
+            for i in range(10)]
 
 
-def check_commutator(tol: float = 1e-10) -> list[CheckResult]:
+def check_commutator() -> list[CheckResult]:
     """Closed-form commutator against operator composition at samples."""
     import numpy as np
 
-    out = []
+    out, tol = [], 1e-10
     for lam in (0.5, -0.5):
         lam_r = Fraction(lam)
         p = PhysicalParams(m=1, alpha=1, hbar=1, lam=lam_r)
@@ -412,28 +408,24 @@ def check_commutator(tol: float = 1e-10) -> list[CheckResult]:
     return out
 
 
-def check_eigen_equation(tol: float = 1e-9) -> list[CheckResult]:
-    """Every bound eigenfunction satisfies its equation pointwise."""
+def check_eigen_equation() -> list[CheckResult]:
+    """Every bound eigenfunction (up to index 8 at lam < 0) satisfies its
+    equation pointwise, inside the walls at lam < 0."""
     import numpy as np
 
     out = []
     for lam in (Fraction(3, 10), Fraction(-3, 10), Fraction(1, 10),
                 Fraction(-1, 10)):
-        if lam > 0:
-            top = bound_count(lam) - 1
-        else:
-            top = 8
-        if lam < 0:
-            wall = 1.0 / math.sqrt(-float(lam))
-            ys = np.linspace(-0.98 * wall, 0.98 * wall, 50)
-        else:
-            ys = np.linspace(-4.0, 4.0, 50)
+        dp = params.classify(lam)
+        top = 8 if dp.n_max is None else dp.n_max
+        edge = 4.0 if dp.half_width is None else 0.98 * dp.half_width
+        ys = np.linspace(-edge, edge, 50)
         dev = max(
             eigen_equation_residual(m, lam, ys) for m in range(top + 1)
         )
         out.append(
             _record("eigen_equation_residual",
-                    {"lambda": str(lam), "m_top": top}, dev, tol)
+                    {"lambda": str(lam), "m_top": top}, dev, 1e-9)
         )
     return out
 
@@ -494,7 +486,7 @@ def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
     return out
 
 
-def check_small_deformation_continuity(tol: float = 1e-4) -> list[CheckResult]:
+def check_small_deformation_continuity() -> list[CheckResult]:
     """Values at deformation +-1e-6 stay near the classical oscillator,
     for the indices 0..4."""
     import numpy as np
@@ -523,7 +515,8 @@ def check_small_deformation_continuity(tol: float = 1e-4) -> list[CheckResult]:
             scale = np.max(np.abs(v0))
             dev = max(dev, float(np.max(np.abs(v - v0)) / scale))
         out.append(
-            _record("small_deformation_continuity", {"lambda": lam}, dev, tol)
+            _record("small_deformation_continuity", {"lambda": lam}, dev,
+                    1e-4)
         )
     return out
 

@@ -20,13 +20,12 @@ when they run.
 """
 
 import math
-import sys
 from fractions import Fraction
 
 from .exact import exact_rational
 from .hermite import NORM_GENERATING, generating_coeffs, recursion_coeffs
 from .params import classify
-from .polynomials import LadderFunction, LambdaPoly
+from .polynomials import LadderFunction, LambdaPoly, z_power
 from .spectrum import energy
 
 # from this b on, Gamma(b + 1/2)/Gamma(b) comes from its asymptotic series
@@ -42,22 +41,11 @@ _NORM_EXPONENT_CAP = 2200
 
 
 def envelope(y, lam) -> float:
-    """The decay factor (1 + lam*y^2)^(-1/(2 lam)) on the domain.
-
-    Evaluated as exp(-log1p(lam*y^2) / (2 lam)), which keeps full relative
-    precision as lam -> 0.  Its limit exp(-y^2/2) stands in only where
-    that form cannot be evaluated, at lam = 0 and subnormal lam; there
-    the two agree to double precision.
-    """
+    """The decay factor (1 + lam*y^2)^(-1/(2 lam)) on the domain, from
+    ``polynomials.z_power`` (its Gaussian limit at lam = 0)."""
     import numpy as np
 
-    lam_f = float(lam)
-    y = np.asarray(y, dtype=float)
-    if abs(lam_f) < sys.float_info.min:
-        out = np.exp(-0.5 * y * y)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.exp(-np.log1p(lam_f * y * y) / (2.0 * lam_f))
+    out = z_power(np.asarray(y, dtype=float), float(lam), -0.5)
     return float(out) if out.ndim == 0 else out
 
 
@@ -70,14 +58,8 @@ class WaveFunction:
     """
 
     def __init__(self, m: int, lam, poly: LambdaPoly | None = None):
-        if m < 0:
-            raise ValueError("index must be nonnegative")
         dp = classify(lam)
-        if dp.n_max is not None and m > dp.n_max:
-            raise ValueError(
-                f"index {m} is not normalizable at deformation {lam} "
-                f"(cutoff {dp.cutoff})"
-            )
+        dp.check_index(m)
         self.m = m
         self.lam = lam
         self.deformation = dp
@@ -254,22 +236,18 @@ def norm_constant(w: WaveFunction) -> float:
     return math.ldexp(1.0 / math.sqrt(mant), -exp // 2)
 
 
-def gram_matrix(lam, max_index: int | None = None, rtol: float = 1e-10):
-    """Normalized overlap matrix of the bound functions up to an index.
+def gram_matrix(lam, max_index: int, rtol: float = 1e-10):
+    """Normalized overlap matrix of the bound functions up to an index
+    (the last bound one, if that is lower).
 
     Entries are <psi_i, psi_j> / sqrt(<psi_i,psi_i><psi_j,psi_j>); the
     parity-odd pairs are exact zeros by the symmetric quadrature design.
     """
     import numpy as np
 
-    if max_index is not None and max_index < 0:
+    if max_index < 0:
         raise ValueError("index must be nonnegative")
-    dp = classify(lam)
-    top = max_index
-    if dp.n_max is not None:
-        top = dp.n_max if top is None else min(top, dp.n_max)
-    if top is None:
-        raise ValueError("an index bound is required for this deformation")
+    top = classify(lam).top_index(max_index)
     ws = [wavefunction(m, lam) for m in range(top + 1)]
     n = top + 1
     out = np.eye(n)

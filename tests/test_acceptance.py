@@ -29,7 +29,8 @@ def test_criterion_1_polynomial_tables():
 
 def test_criterion_2_spectrum_values():
     # published bound-level energies at 0.8, 0.4, 0.3 to 1e-12
-    results = V.check_spectrum_values(tol=1e-12)
+    results = V.check_spectrum_values()
+    assert {r.threshold for r in results} == {1e-12}
     _report("criterion 2: closed-form spectrum values", results)
 
 
@@ -60,12 +61,14 @@ def test_criterion_6_ladder_consistency():
 
 
 def test_criterion_7_commutator():
-    results = V.check_commutator(tol=1e-10)
+    results = V.check_commutator()
+    assert {r.threshold for r in results} == {1e-10}
     _report("criterion 7: commutator", results)
 
 
 def test_criterion_8_eigen_equation_residual():
-    results = V.check_eigen_equation(tol=1e-9)
+    results = V.check_eigen_equation()
+    assert {r.threshold for r in results} == {1e-9}
     _report("criterion 8: eigen-equation residual", results)
 
 
@@ -75,5 +78,6 @@ def test_criterion_9_classical_law():
 
 
 def test_criterion_10_small_deformation_continuity():
-    results = V.check_small_deformation_continuity(tol=1e-4)
+    results = V.check_small_deformation_continuity()
+    assert {r.threshold for r in results} == {1e-4}
     _report("criterion 10: small-deformation continuity", results)

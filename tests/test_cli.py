@@ -450,6 +450,20 @@ class TestTinyPositiveDeformation:
         assert (done.returncode, done.stderr) == (0, "")
         assert len(done.stdout.strip().split("\n")) == 1 + 9
 
+    @pytest.mark.parametrize("lam", ["0.001", "1e-300"])
+    def test_sl_default_ends_in_bounded_time(self, lam):
+        # 1000 and 10^300 levels are bound; the default refines seven
+        src = Path(lambda_osc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "lambda_osc.cli", "sl", "--lambda", lam,
+             "--format", "json"], env=env,
+            capture_output=True, text=True, timeout=10,
+            preexec_fn=self._limit_memory)
+        assert (done.returncode, done.stderr) == (0, "")
+        (rec,) = json.loads(done.stdout)
+        assert rec["levels"] == len(rec["eigenvalues"]) == 7
+
     @pytest.mark.parametrize("command", ["spectrum", "wavefn"])
     def test_cutoff_past_float_range_is_an_error(self, command, capsys):
         assert main([command, "--lambda", "1e-320"]) == 1

@@ -10,7 +10,7 @@ from lambda_osc.params import PhysicalParams, classify
 from lambda_osc.polynomials import DERIVATIVE, LadderFunction, LambdaPoly
 from lambda_osc.spectrum import chain_parameter, chain_remainder, energy
 from lambda_osc.verification import _operator_battery
-from lambda_osc.wavefunctions import envelope
+from lambda_osc.wavefunctions import WaveFunction, envelope
 
 
 def family(lam, s, coeffs):
@@ -181,6 +181,16 @@ class TestGaussianRules:
 
 
 class TestBuildState:
+    def test_unbound_index_refused_as_the_constructor_refuses_it(self):
+        # one guard, params.DeformationParam.check_index, for both
+        lam = Fraction(3, 10)
+        with pytest.raises(ValueError) as direct:
+            WaveFunction(4, lam)
+        with pytest.raises(ValueError) as chained:
+            fac.build_state(4, lam)
+        assert str(chained.value) == str(direct.value) == (
+            "index 4 is not normalizable at deformation 3/10 (cutoff 10/3)")
+
     @pytest.mark.parametrize("lam", [Fraction(1, 10), Fraction(-3, 10)])
     def test_polynomial_equals_derivative_route(self, lam):
         for n in range(9):
@@ -254,6 +264,9 @@ class TestOperatorIdentities:
     def test_shape_invariance(self, b):
         for f in _operator_battery(Fraction(1, 10)):
             assert fac.shape_invariance_residual(f, b).is_zero()
+
+    def test_battery_members_all_differ(self):
+        assert len(set(_operator_battery(Fraction(1, 10)))) == 10
 
     def test_partner_relation_is_commutator(self):
         for f in _operator_battery(Fraction(-3, 10)):

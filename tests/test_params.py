@@ -73,6 +73,30 @@ class TestClassify:
             3, 8, 8]
         assert classify(0.0).top_index(3) == classify(-0.5).top_index(3) == 3
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_bound_indices_stop_below_the_cutoff(self, k):
+        # at lam = 1/k the index k sits on the cutoff and is not bound
+        lam = Fraction(1, k)
+        dp = classify(lam)
+        assert [dp.is_bound(m) for m in range(k + 2)] == [True] * k + [
+            False, False]
+        dp.check_index(k - 1)
+        with pytest.raises(ValueError, match=(
+                f"^index {k} is not normalizable at deformation {lam} "
+                rf"\(cutoff {k}\)$")):
+            dp.check_index(k)
+
+    @pytest.mark.parametrize("lam", [0, 0.0, -0.5, Fraction(-3, 10)])
+    def test_every_index_is_bound_at_lam_not_positive(self, lam):
+        dp = classify(lam)
+        assert all(dp.is_bound(m) for m in (0, 1, 8, 10**6))
+        dp.check_index(10**6)
+
+    @pytest.mark.parametrize("lam", [0, -0.5, Fraction(1, 3)])
+    def test_negative_index_is_refused(self, lam):
+        with pytest.raises(ValueError, match="^index must be nonnegative$"):
+            classify(lam).check_index(-1)
+
 
 class TestPhysicalParams:
     def test_g_identity_exact(self):

@@ -425,6 +425,13 @@ class TestEigenEquation:
             ys = np.linspace(-4.0, 4.0, 50)
         assert eigen_equation_residual(m, lam, ys) <= 1e-9
 
+    @pytest.mark.parametrize("lam", [Fraction(1, 10**320),
+                                     Fraction(-1, 10**400)])
+    def test_residual_past_float_range(self, lam):
+        # 1/lam overflows a float; the envelope is the Gaussian there
+        ys = np.linspace(-4.0, 4.0, 50)
+        assert eigen_equation_residual(3, lam, ys) <= 1e-9
+
     def test_wrong_eigenvalue_fails(self):
         # sanity: the residual is actually sensitive to the eigenvalue
         from lambda_osc.hermite import generating_coeffs
