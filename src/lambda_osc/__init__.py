@@ -18,7 +18,6 @@ _SOURCES = {
     "classical": ("ClassicalState", "OrbitParams", "measure_period"),
     "exact": ("LamPoly", "LamRatio"),
     "factorization": (
-        "LadderOperator",
         "apply",
         "build_state",
         "commutator_closed_form",

@@ -17,54 +17,32 @@ Both operators are the one first-order kernel of the family,
 z^(p-1/2) (alpha*y*Q + beta*z*Q') (``LadderFunction.first_order``), with
 beta = +1 (lower) or -1 (raise) and alpha = b + 2*beta*lam*p; at zero
 deformation the Gaussian's derivative shifts alpha to b - 1 (lower) and
-b + 1 (raise).  Since gcd(z, y) = 1, the result keeps z out of Q whenever
-alpha != 0, so only alpha = 0 (as when lowering a chain ground state)
-divides by z.  ``build_state`` hands its whole raising chain to the
-kernel in one call.
+b + 1 (raise).  ``lowering`` and ``raising`` are these (b, beta, ds)
+steps, with ds = -1/2 and no deformation of their own.  Since
+gcd(z, y) = 1, the result keeps z out of Q whenever alpha != 0, so only
+alpha = 0 (as when lowering a chain ground state) divides by z.  ``build_state`` hands its whole raising chain to the
+kernel in one call and returns the family member it produces.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .exact import exact_rational
 from .params import PhysicalParams, classify
 from .polynomials import LadderFunction, LambdaPoly
 
-if TYPE_CHECKING:
-    from .wavefunctions import WaveFunction
 
-KIND_LOWER = "lower"
-KIND_RAISE = "raise"
-
-
-@dataclass(frozen=True)
-class LadderOperator:
-    """One ladder operator at a chain parameter.
-
-    ``b`` is the adimensional chain parameter; the physical overall
-    scale sqrt(hbar*alpha/2) multiplies every application and is kept
-    out of the exact algebra.
-    """
-
-    kind: str
-    lam: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        if self.kind not in (KIND_LOWER, KIND_RAISE):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        object.__setattr__(self, "lam", exact_rational(self.lam))
-        object.__setattr__(self, "b", exact_rational(self.b))
+def lowering(b=1):
+    """lower(b) as a (b, beta, ds) step of ``LadderFunction.first_order``;
+    it acts at the deformation of the function it is applied to, so only
+    ``b`` is fixed here.  The physical overall scale sqrt(hbar*alpha/2)
+    multiplies every application and is kept out of the exact algebra."""
+    return exact_rational(b), 1, Fraction(-1, 2)
 
 
-def lowering(lam, b=1) -> LadderOperator:
-    return LadderOperator(KIND_LOWER, exact_rational(lam), exact_rational(b))
-
-
-def raising(lam, b=1) -> LadderOperator:
-    return LadderOperator(KIND_RAISE, exact_rational(lam), exact_rational(b))
+def raising(b=1):
+    """raise(b) as a (b, beta, ds) step, like ``lowering``."""
+    return exact_rational(b), -1, Fraction(-1, 2)
 
 
 def chain_b(k: int, lam) -> Fraction:
@@ -72,46 +50,34 @@ def chain_b(k: int, lam) -> Fraction:
     return 1 - k * exact_rational(lam)
 
 
-def _step(op: LadderOperator):
-    """The operator as a (b, beta, ds) step of
-    ``LadderFunction.first_order``."""
-    return op.b, 1 if op.kind == KIND_LOWER else -1, Fraction(-1, 2)
-
-
-def apply(op: LadderOperator, f: LadderFunction) -> LadderFunction:
+def apply(op, f: LadderFunction) -> LadderFunction:
     """Apply a ladder operator exactly within the closed family."""
-    if f.lam != op.lam:
-        raise ValueError("operator and function deformation values differ")
-    return f.first_order([_step(op)])
+    return f.first_order([op])
 
 
 def ground_function(lam, b=1) -> LadderFunction:
     """Chain ground state z^(-b/(2 lam)) (Gaussian at zero deformation),
-    annihilated exactly by lowering(lam, b)."""
+    annihilated exactly by lowering(b)."""
     lam = exact_rational(lam)
     if lam == 0:
         return LadderFunction(0, 0, LambdaPoly.one(Fraction(0)))
     return LadderFunction(lam, -exact_rational(b) / (2 * lam), LambdaPoly.one(lam))
 
 
-def build_state(n: int, lam) -> "WaveFunction":
+def build_state(n: int, lam) -> LadderFunction:
     """n-th eigenfunction by composing raising operators down the chain.
 
     Applies raise(b_0) ... raise(b_{n-1}) to the ground state of the
-    chain endpoint (exponent -(1 - n*lam)/(2*lam)); the polynomial
-    factor comes out proportional to the generating-normalization
-    polynomial of the same index.
+    chain endpoint (exponent -(1 - n*lam)/(2*lam)) and returns the family
+    member z^(-1/(2 lam)) Q_n (the Gaussian times Q_n at zero
+    deformation); Q_n comes out proportional to the
+    generating-normalization polynomial of the same index.
     """
-    # here, not at module level: the operator algebra needs no eigenfunctions
-    from .wavefunctions import WaveFunction
-
     lam = exact_rational(lam)
     classify(lam).check_index(n)
-    f = ground_function(lam, chain_b(n, lam)).first_order(
-        [_step(raising(lam, chain_b(k, lam))) for k in range(n - 1, -1, -1)]
+    return ground_function(lam, chain_b(n, lam)).first_order(
+        [raising(chain_b(k, lam)) for k in range(n - 1, -1, -1)]
     )
-    poly = f.poly.replace(normalization="ladder", n=n)
-    return WaveFunction(n, lam, poly)
 
 
 # -- Hamiltonians on the family ----------------------------------------------
@@ -120,18 +86,12 @@ def build_state(n: int, lam) -> "WaveFunction":
 def hamiltonian_chain(f: LadderFunction, b=1) -> LadderFunction:
     """(1/2) raise(b) lower(b) applied to f: the factorized Hamiltonian
     at chain parameter b, per (hbar*alpha)."""
-    lam = f.lam
-    return apply(raising(lam, b), apply(lowering(lam, b), f)).scale(
-        Fraction(1, 2)
-    )
+    return apply(raising(b), apply(lowering(b), f)).scale(Fraction(1, 2))
 
 
 def hamiltonian_chain_partner(f: LadderFunction, b=1) -> LadderFunction:
     """(1/2) lower(b) raise(b) applied to f (the partner ordering)."""
-    lam = f.lam
-    return apply(lowering(lam, b), apply(raising(lam, b), f)).scale(
-        Fraction(1, 2)
-    )
+    return apply(lowering(b), apply(raising(b), f)).scale(Fraction(1, 2))
 
 
 def hamiltonian_diff_form(f: LadderFunction, b=1) -> LadderFunction:
@@ -258,7 +218,7 @@ def commutator_via_operators(x, params: PhysicalParams,
     """The same commutator evaluated by operator composition on a test
     function: ((lower raise - raise lower) g)(y) / g(y) times the
     physical scale.  The test function must not vanish at the point."""
-    lam = Fraction(params.lam_adim)
+    lam = exact_rational(params.lam_adim)
     if g is None:
         g = LadderFunction(lam, Fraction(1), LambdaPoly.one(lam))
     if g.lam != lam:

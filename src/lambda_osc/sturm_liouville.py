@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import lowest_eigenvalues
+from .params import classify
 
 # first grid of refine() and convergence_order(); refine() doubles it up
 # to GRID_CAP and then raises RefinementError
@@ -53,15 +54,6 @@ def continuum_threshold(lam: float) -> float:
     if not lam > 0:
         raise ValueError("threshold exists only for positive deformation")
     return 0.5 * (1.0 + lam) / lam
-
-
-def bound_levels(lam: float) -> int:
-    """Levels below the plateau at positive deformation, ceil(1/lam):
-    more would be eigenvalues of the truncated continuum."""
-    if not lam > 0:
-        raise ValueError(
-            "the bound levels are finite only for positive deformation")
-    return math.ceil(1.0 / lam)
 
 
 def wall_position(lam: float) -> float:
@@ -144,7 +136,7 @@ def default_halfwidth(lam: float, k: int, tail_tol: float = 1e-12) -> float:
         e_top = k - 0.5
         return math.sqrt(2.0 * e_top) + math.sqrt(-math.log(tail_tol)) + 4.0
     vmax = continuum_threshold(lam)
-    m_top = min(k, bound_levels(lam)) - 1
+    m_top = classify(lam).top_index(k - 1)
     e_top = (m_top + 0.5) - 0.5 * m_top * m_top * lam
     gap = vmax - e_top
     if gap <= 0:
@@ -176,16 +168,16 @@ def refine(
     Stops when two successive deepest extrapolants agree within ``tol``
     for every requested level; raises RefinementError past ``GRID_CAP``.
     Raises ValueError for k < 1 and, at positive deformation, for k above
-    ``bound_levels``.
+    the ``classify(lam).n_max + 1`` bound levels (more would be
+    eigenvalues of the truncated continuum).
     """
     if tol < 1e-14:
         raise ValueError("tolerance below attainable floating-point accuracy")
     if k < 1:
         raise ValueError(f"k = {k}: at least one level must be requested")
-    if lam > 0 and k > bound_levels(lam):
+    if lam > 0 and k > (bound := classify(lam).n_max + 1):
         raise ValueError(
-            f"k = {k}: only {bound_levels(lam)} levels are bound at "
-            f"deformation {lam}"
+            f"k = {k}: only {bound} levels are bound at deformation {lam}"
         )
     if half_width is None and lam >= 0:
         half_width = default_halfwidth(lam, k, tail_tol=min(1e-12, tol * 1e-3))

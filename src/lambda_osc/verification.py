@@ -331,7 +331,7 @@ def check_ladder() -> list[CheckResult]:
     )
 
     g0 = factorization.ground_function(lam, 1)
-    ann = factorization.apply(factorization.lowering(lam, 1), g0)
+    ann = factorization.apply(factorization.lowering(1), g0)
     out.append(
         _record("ground_state_annihilation", {"lambda": str(lam)},
                 0 if ann.is_zero() else 1, 0)

@@ -4,9 +4,8 @@ Unnormalized functions are the primitive.  Normalization constants (the
 convention is unit measure-norm) are closed forms, O(m) float work from
 the three-term recursion and the total mass of the measure; quadrature
 against the measure (``mu_inner``, ``gram_matrix``) is the independent
-oracle that checks them.  The polynomial factor uses the
-generating-function normalization unless a constructor hands in a
-proportional one.
+oracle that checks them.  The polynomial factor is in the
+generating-function normalization (``hermite.generating_coeffs``).
 
 Float values run the paper's three-term recursion from psi_0 = envelope:
 no monomial coefficients to cancel, and no overflow in slowly decaying
@@ -20,12 +19,11 @@ when they run.
 """
 
 import math
-from fractions import Fraction
 
 from .exact import exact_rational
-from .hermite import NORM_GENERATING, generating_coeffs, recursion_coeffs
+from .hermite import generating_coeffs, recursion_coeffs
 from .params import classify
-from .polynomials import LadderFunction, LambdaPoly, z_power
+from .polynomials import LadderFunction, z_power
 from .spectrum import energy
 
 # from this b on, Gamma(b + 1/2)/Gamma(b) comes from its asymptotic series
@@ -52,58 +50,34 @@ def envelope(y, lam) -> float:
 class WaveFunction:
     """Eigenfunction data for index m at one deformation value.
 
-    ``lam`` may be a float or an exact Fraction; exactness propagates to
-    the polynomial factor.  The domain is the open interval between the
-    walls for negative deformation and the whole line otherwise.
+    ``lam`` may be a float or an exact Fraction; values are float
+    either way, from the three-term recursion at float(lam).  The domain
+    is the open interval between the walls for negative deformation and
+    the whole line otherwise.
     """
 
-    def __init__(self, m: int, lam, poly: LambdaPoly | None = None):
+    def __init__(self, m: int, lam):
         dp = classify(lam)
         dp.check_index(m)
         self.m = m
         self.lam = lam
         self.deformation = dp
-        self._poly = poly
         self._coeffs = {}  # keyed by normalized
-
-    @property
-    def poly(self) -> LambdaPoly:
-        """The polynomial factor; the generating-normalization default is
-        built on first read, since evaluation only needs the recursion."""
-        if self._poly is None:
-            m, lam = self.m, self.lam
-            if isinstance(lam, (Fraction, int)):
-                self._poly = generating_coeffs(m, Fraction(lam))[m]
-            else:  # generic; evaluated at float lam
-                self._poly = generating_coeffs(m)[m]
-        return self._poly
-
-    @property
-    def scale(self) -> float:
-        """The polynomial factor over the generating-normalization one: its
-        leading coefficient over prod a_n (1.0 unless a constructor handed
-        in another normalization)."""
-        poly = self._poly
-        if poly is None or poly.normalization == NORM_GENERATING:
-            return 1.0
-        lead = math.prod(recursion_coeffs(n, poly.lam)[0]
-                         for n in range(self.m))
-        return float(poly.coefficient(self.m) / lead)
 
     def _recurse(self, y, normalized):
         """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = c *
-        envelope: plain, (a_n, b_n) and c = ``scale``; or orthonormal,
-        (1, sqrt(beta_n)) / sqrt(beta_{n+1}) and c = +-1/sqrt(M_0)."""
+        envelope: plain, (a_n, b_n) and c = 1; or orthonormal,
+        (1, sqrt(beta_n)) / sqrt(beta_{n+1}) and c = 1/sqrt(M_0)."""
         import numpy as np
 
         if normalized not in self._coeffs:
             if normalized:
                 r = _sqrt_beta(self.m, self.lam)
                 a, b = 1.0 / r, np.append(0.0, r[:-1]) / r
-                c = math.copysign(measure_mass(self.lam) ** -0.5, self.scale)
+                c = measure_mass(self.lam) ** -0.5
             else:
                 a, b = recursion_coeffs(np.arange(self.m), float(self.lam))
-                c = self.scale
+                c = 1.0
             self._coeffs[normalized] = c, a.tolist(), b.tolist()
         c, a, b = self._coeffs[normalized]
         y = np.asarray(y, dtype=float)
@@ -143,10 +117,10 @@ def nodes(w: WaveFunction) -> list[float]:
     They are the eigenvalues of the Jacobi matrix of the three-term
     recursion made monic (Golub & Welsch, Math. Comp. 23 (1969) 221):
     zero diagonal, off-diagonal ``_sqrt_beta``.  These are the zeros of
-    the index-m family member at float(w.lam); the constructors
-    (``wavefunction``, ``factorization.build_state``) only make
-    polynomials proportional to it.  The matrix is tridiagonal, so LAPACK
-    sterf solves it from its two diagonals in O(m) memory.
+    the index-m family member at float(w.lam), and so of every polynomial
+    proportional to it, as ``factorization.build_state``'s is.  The
+    matrix is tridiagonal, so LAPACK sterf solves it from its two
+    diagonals in O(m) memory.
     """
     if w.m == 0:
         return []
@@ -209,20 +183,16 @@ def norm_constant(w: WaveFunction) -> float:
 
     M_0 = ``measure_mass(lam)``: M_0 times the squared leading
     coefficient prod a_n times the monic recursion's beta_1..beta_m,
-    which telescopes (Golub & Welsch, Math. Comp. 23 (1969) 221).
-    Another normalization multiplies it by ``w.scale`` squared.  The
+    which telescopes (Golub & Welsch, Math. Comp. 23 (1969) 221).  The
     product runs as a mantissa and a binary exponent, so it cannot
     overflow; on the bound range every factor is at least 1 (the last
     one carries the 1/(1 - m lam)), so once the exponent passes the cap
     the constant is 0.0 and the loop stops.
     """
     lam = float(w.lam)
-    mant, exp = 1.0, 0
-    for x in (measure_mass(lam), w.scale, w.scale):
-        f, e = math.frexp(x)
-        mant, exp = mant * f, exp + e
+    mant, exp = math.frexp(measure_mass(lam))
     for k in range(1, w.m + 1):
-        factor = k * (2.0 - (k - 1) * lam)
+        factor = recursion_coeffs(k, lam)[1]
         if k == w.m:
             factor /= 1.0 - k * lam
         mant *= factor

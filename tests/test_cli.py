@@ -464,9 +464,9 @@ class TestTinyPositiveDeformation:
         (rec,) = json.loads(done.stdout)
         assert rec["levels"] == len(rec["eigenvalues"]) == 7
 
-    @pytest.mark.parametrize("command", ["spectrum", "wavefn"])
+    @pytest.mark.parametrize("command", ["spectrum", "wavefn", "sl --k 1"])
     def test_cutoff_past_float_range_is_an_error(self, command, capsys):
-        assert main([command, "--lambda", "1e-320"]) == 1
+        assert main([*command.split(), "--lambda", "1e-320"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: deformation 1e-320 is too small: its "

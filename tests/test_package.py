@@ -3,7 +3,7 @@ import lambda_osc
 # the public surface: the paper's results and the oracles that check them
 PUBLIC = [
     "ClassicalState", "DeformationParam", "EnergyLevel", "LadderFunction",
-    "LadderOperator", "LamPoly", "LamRatio", "LambdaPoly", "OrbitParams",
+    "LamPoly", "LamRatio", "LambdaPoly", "OrbitParams",
     "PhysicalParams", "SLDiscretization", "SpectrumTable",
     "WaveFunction", "apply", "assemble", "bound_count", "build_state",
     "classify", "commutator_closed_form", "conjugation_residual",

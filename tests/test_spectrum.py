@@ -86,6 +86,8 @@ class TestBoundCount:
         with pytest.raises(ValueError):
             bound_count(0)
         with pytest.raises(ValueError):
+            bound_count(0.0)
+        with pytest.raises(ValueError):
             bound_count(-0.3)
 
 

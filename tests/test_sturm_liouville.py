@@ -8,7 +8,6 @@ from lambda_osc.sturm_liouville import (
     GRID_CAP,
     RefinementError,
     assemble,
-    bound_levels,
     continuum_threshold,
     convergence_order,
     default_halfwidth,
@@ -133,12 +132,6 @@ class TestRefinement:
         # truncated continuum, which no closed form describes
         with pytest.raises(ValueError, match=f"k = {k}: only"):
             refine(lam, k)
-
-    def test_bound_levels_is_the_ceiling(self):
-        assert [bound_levels(lam) for lam in (0.3, 0.15, 0.5, 0.25)] == [
-            4, 7, 2, 4]
-        with pytest.raises(ValueError):
-            bound_levels(0.0)
 
     def test_grid_cap(self):
         # 1e-13 is out of reach, so refinement runs to the cap and reports

@@ -76,12 +76,12 @@ class TestEvaluate:
             WaveFunction(4, 0.3)
 
     def test_exact_mode_polynomial(self):
-        w = wavefunction(2, Fraction(3, 10))
-        assert w.poly.coefficient(2) == Fraction(14, 5)  # 4(1 - 3/10)
+        h2 = generating_coeffs(2, Fraction(3, 10))[2]
+        assert h2.coefficient(2) == Fraction(14, 5)  # 4(1 - 3/10)
 
     def test_float_lambda_builds_no_coefficients(self, monkeypatch):
-        # values, zeros and overlaps come from the recursion; the exact
-        # polynomial factor is built only when read
+        # values, zeros and overlaps come from the recursion, with no
+        # exact polynomial factor
         def refuse(*args, **kwargs):
             raise AssertionError("generating_coeffs called")
 
@@ -91,9 +91,6 @@ class TestEvaluate:
         assert len(nodes(w)) == 60
         w2 = wavefunction(2, -0.5)
         assert mu_inner(w2, w2) > 0.0
-        monkeypatch.undo()
-        assert w2.poly == generating_coeffs(2)[2]
-        assert w.poly == generating_coeffs(60)[60]
 
     def test_boundary_decay_monotone(self):
         # the last percent of the domain decays monotonically to zero
@@ -265,17 +262,6 @@ class TestClosedFormNorms:
         assert norm_constant(w) ** 2 * mu_inner(w, w) == pytest.approx(
             1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("m, lam", [(3, Fraction(1, 5)),
-                                        (4, Fraction(-3, 7)),
-                                        (2, Fraction(2, 7))])
-    def test_build_state_normalization(self, m, lam):
-        from lambda_osc.factorization import build_state
-
-        w = build_state(m, lam)
-        assert w.scale != 1.0
-        assert norm_constant(w) ** 2 * mu_inner(w, w) == pytest.approx(
-            1.0, rel=1e-9)
-
     @pytest.mark.parametrize("k", [10, 10**3, 10**5])
     def test_mass_exact_integer_reference(self, k):
         # lam = 1/K: M_0 = sqrt(K) B(1/2, K) = sqrt(K) 4^K K!(K-1)!/(2K)!;
@@ -337,14 +323,6 @@ class TestNormalized:
         want = w(ys) * norm_constant(w)
         peak = np.max(np.abs(want))
         assert np.max(np.abs(w.normalized(ys) - want)) <= 1e-12 * peak
-
-    def test_keeps_the_sign_of_the_scale(self):
-        lam = Fraction(-3, 7)
-        w = WaveFunction(3, lam, generating_coeffs(3, lam)[3].scale(-2))
-        ys = np.linspace(-1.2, 1.2, 25)
-        want = w(ys) * norm_constant(w)
-        assert w.scale == -2.0
-        assert np.max(np.abs(w.normalized(ys) - want)) <= 1e-13
 
     def test_in_float_range_past_the_unnormalized_overflow(self):
         # psi_200 at lam = -1/2 overflows unnormalized, and its squared norm
