@@ -1,8 +1,7 @@
 """Eigenvalues of real symmetric tridiagonal matrices, straight from LAPACK.
 
-Both numeric oracles need one tridiagonal eigensolve: ``quadrature``
-takes every eigenvalue (``dsterf``) for its Gauss-Legendre nodes, as
-``wavefunctions.nodes`` does for the zeros, and ``sturm_liouville`` the
+Two tridiagonal eigensolves run here: ``wavefunctions.nodes`` takes
+every eigenvalue (``dsterf``) for the zeros, and ``sturm_liouville`` the
 lowest k by bisection (``dstebz``, range 'I', order 'E', abstol 0).
 numpy's wheels bundle OpenBLAS with all of LAPACK and export these as ``scipy_dsterf_64_`` and ``scipy_dstebz_64_``
 (64-bit integers, Fortran calling convention with hidden string

@@ -10,17 +10,17 @@ A change of variable flattens the measure exactly in both regimes:
   half-width chosen from the integrand's analytic decay rate;
 * zero deformation: the measure is already flat.
 
-Gauss-Legendre on the transformed interval, each rule from the
-tridiagonal Jacobi matrix in O(n) memory, with node doubling until two
-successive estimates agree.  Nodes are applied in symmetric pairs, so
-integrands odd in exact arithmetic cancel exactly in floating point too.
+Gauss-Legendre on the transformed interval, with node doubling until
+two successive estimates agree.  Each rule is built on its positive half
+only, by Newton's method on the Legendre recurrence from asymptotic
+starting nodes, in O(n) memory and with no eigensolve.  Nodes are
+applied in symmetric pairs, so integrands odd in exact arithmetic cancel
+exactly in floating point too.
 """
 
 import math
 
 import numpy as np
-
-from ._lapack import all_eigenvalues
 
 # smallest relative tolerance double-precision node doubling can meet
 RTOL_FLOOR = 1e-14
@@ -28,12 +28,15 @@ RTOL_FLOOR = 1e-14
 # rather than go past the cap
 START_NODES = 32
 NODE_CAP = 1 << 15
+# Newton on the Legendre nodes stops once no node moves by more than this
+NEWTON_STEP = 4e-16
 
 _NODE_CACHE: dict[int, tuple] = {}
 
 
 class NonConvergenceError(RuntimeError):
-    """Node doubling hit the cap; carries the last two estimates."""
+    """Node doubling hit the cap, or found f = 0 at every node of the rule
+    it would accept; carries the last two estimates."""
 
     def __init__(self, message, last=None, previous=None):
         super().__init__(message)
@@ -81,52 +84,60 @@ def overlap_halfwidth(lam: float, degree: int, tail_tol: float = 1e-14) -> float
     return min(u, 600.0 / math.sqrt(lam))
 
 
-def _leggauss(n: int):
-    """Gauss-Legendre nodes and weights on (-1, 1), bit for bit those of
-    ``numpy.polynomial.legendre.leggauss(n)``, in O(n) memory.
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) from the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}, vectorised over x."""
+    prev = np.ones_like(x)
+    cur = x.copy()
+    nxt = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x, cur, out=nxt)
+        nxt *= (2 * k + 1) / (k + 1)
+        prev *= k / (k + 1)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+    # (1 - x)(1 + x) keeps full relative precision near x = 1
+    return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
 
-    leggauss eigensolves the dense n x n companion matrix (32 MB at 2048
-    nodes), which is the Legendre recursion's tridiagonal Jacobi matrix
-    (Golub & Welsch 1969); LAPACK's sterf (``_lapack.all_eigenvalues``)
-    needs only its off-diagonal, rounded as legcompanion rounds it.
-    Newton step and weights as leggauss.
+
+def _gauss_legendre_half(n: int):
+    """The n // 2 positive nodes of the n-point Gauss-Legendre rule on
+    (-1, 1), ascending, with their weights (an odd rule's centre node is
+    left out); n >= 2.
+
+    Tricomi's asymptotic nodes start Newton's method on P_n, evaluated by
+    its three-term recurrence in O(n) memory (Hale & Townsend, SIAM J.
+    Sci. Comput. 35 (2013) A652), until no node moves by more than
+    NEWTON_STEP; the weights are 2 / ((1 - x^2) P_n'(x)^2) at the final
+    nodes.  O(n^2) work over n // 2 nodes, no eigensolve.
     """
-    leg = np.polynomial.legendre
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    x = all_eigenvalues(np.zeros(n), off)
-    # improve the roots by one Newton step
-    dy = leg.legval(x, c)
-    df = leg.legval(x, leg.legder(c))
-    x -= dy / df
-    # weights, scaled against overflow, then symmetrized and normalized
-    fm = leg.legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
+    k = np.arange(n // 2, 0, -1)
+    theta = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = np.cos(theta) * (1.0 - (n - 1) / (8 * n**3)
+                         - (39 - 28 / np.sin(theta)**2) / (384 * n**4))
+    while True:
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= NEWTON_STEP:
+            break
+    _, dp = _legendre(n, x)
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
 def _paired_nodes(n: int):
-    """Positive Gauss-Legendre nodes with their weights.
+    """Positive Gauss-Legendre nodes, ascending, with their weights.
 
     Returns (x_pos, w_pos); the rule on (-1, 1) is the sum of
-    w*(f(x) + f(-x)) over the pairs.  Every rule has START_NODES * 2^k
-    nodes, an even count, so none sits at the centre.  Pairing enforces
-    exact cancellation for odd integrands.
+    w*(f(x) + f(-x)) over the pairs, and the edgemost node is the last.
+    Every rule has START_NODES * 2^k nodes, an even count, so none sits
+    at the centre.  Pairing enforces exact cancellation for odd
+    integrands.  Each rule is built once per process.
     """
     cached = _NODE_CACHE.get(n)
-    if cached is not None:
-        return cached
-    x, w = _leggauss(n)
-    out = (x[x > 0], w[x > 0])
-    _NODE_CACHE[n] = out
-    return out
+    if cached is None:
+        cached = _NODE_CACHE[n] = _gauss_legendre_half(n)
+    return cached
 
 
 def _estimate(f_of_t, half_len: float, n: int):
@@ -155,7 +166,10 @@ def integrate_measure(f, lam: float, half_width: float | None = None,
     the interval.  Node doubling stops when two successive estimates
     agree to ``rtol`` relative to the integral of |f|.
     Raises DivergentTailError when the truncated integrand visibly fails
-    to decay, and NonConvergenceError when node doubling exhausts the cap.
+    to decay, and NonConvergenceError when node doubling exhausts the cap
+    or f is 0 at every node of a rule whose estimate would be accepted:
+    an integral of |f| of exactly 0 gives no scale to agree against, and
+    a zero integrand looks the same as one whose support the nodes miss.
     """
     check_rtol(rtol)
     lam = float(lam)
@@ -184,13 +198,20 @@ def integrate_measure(f, lam: float, half_width: float | None = None,
     prev = None
     while True:
         est, est_abs, edge = _estimate(transformed, half_len, n)
-        scale = max(est_abs, 1e-300)
-        if not walls and edge * half_len > 1e3 * rtol * scale:
+        if not walls and edge * half_len > 1e3 * rtol * est_abs:
             raise DivergentTailError(
                 f"integrand does not decay at the truncation edge "
-                f"(edge value {edge:.3e} vs integral scale {scale:.3e})"
+                f"(edge value {edge:.3e} vs integral scale {est_abs:.3e})"
             )
-        if prev is not None and abs(est - prev) <= rtol * scale:
+        if prev is not None and abs(est - prev) <= rtol * est_abs:
+            if est_abs == 0:
+                raise NonConvergenceError(
+                    f"integrand is 0 at every node of the {n}-node rule "
+                    f"and the {n // 2}-node estimate is 0, so its scale is "
+                    f"unknown (last {est!r}, previous {prev!r})",
+                    last=est,
+                    previous=prev,
+                )
             return est
         if 2 * n > NODE_CAP:
             raise NonConvergenceError(

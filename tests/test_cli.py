@@ -535,6 +535,17 @@ class TestGramCommand:
         assert rec["max_offdiagonal"] == check["metric"]
         assert rec["size"] == check["parameters"]["size"]
 
+    def test_vanishing_norm_is_an_error(self, capsys):
+        # every node of the first two rules misses the ground state at
+        # lam = -1e-6; its 0 norm used to end in a ZeroDivisionError
+        assert main(["gram", "--lambda", "-1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: integrand is 0 at every node of the 64-node rule and "
+            "the 32-node estimate is 0, so its scale is unknown (last 0.0, "
+            "previous 0.0)\n")
+
     def test_negative_index_bound_refused(self, capsys):
         assert main(["gram", "--mmax", "-1"]) == 1
         captured = capsys.readouterr()

@@ -1,8 +1,8 @@
 """The tridiagonal LAPACK binding against scipy, which runs the same routines.
 
-Bit-for-bit equality is the contract: the Gauss-Legendre rules must stay
-numpy's ``leggauss`` and the refined eigenvalues must not move, whichever
-library supplies the routines.
+Bit-for-bit equality is the contract: the zeros of ``wavefunctions.nodes``
+and the refined eigenvalues must not move, whichever library supplies the
+routines.
 """
 
 import math
@@ -15,7 +15,8 @@ from lambda_osc.sturm_liouville import assemble, default_halfwidth, eigenvalues
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
-# the Legendre Jacobi matrices _leggauss solves, and refine's grid range
+# all-eigenvalue cases: the Legendre Jacobi matrices, a family with known
+# spectra, at every order to 300 and four large ones; and refine's grids
 LEGENDRE_SIZES = [*range(2, 300), 512, 1024, 2048, 4096]
 SL_LAMBDAS = (-0.9, -0.5, -0.3, -0.1, 0.0, 0.05, 0.15, 0.3)
 SL_GRIDS = (256, 1024, 4096, 16384)
