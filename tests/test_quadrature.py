@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lambda_osc import quadrature
+from lambda_osc import _lapack, quadrature
 from lambda_osc.quadrature import (
     START_NODES,
     DivergentTailError,
@@ -57,6 +57,30 @@ def rule_defects(n, xs, ws, num):
         exact_w = 2 / ((1 - x * x) * dp * dp)
         out.append((below * above < 0, float(abs(num(w) / exact_w - 1))))
     return out
+
+
+def golub_welsch(n):
+    """The n-point rule as numpy's ``leggauss`` builds it (Golub & Welsch,
+    Math. Comp. 23 (1969) 221), with its dense companion eigensolve
+    replaced by LAPACK's sterf on the tridiagonal Jacobi matrix
+    (``_lapack.all_eigenvalues``, which ``wavefunctions.nodes`` runs):
+    one Newton step, then weights symmetrised and normalised as there."""
+    leg = np.polynomial.legendre
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    x = _lapack.all_eigenvalues(np.zeros(n),
+                                np.arange(1, n) * scl[:n - 1] * scl[1:n])
+    df = leg.legval(x, leg.legder(c))
+    x -= leg.legval(x, c) / df
+    fm = leg.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 class TestMeasureIntegration:
@@ -231,6 +255,17 @@ class TestMeasureIntegration:
 
 
 class TestRule:
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_rule_is_numpy_leggauss_bit_for_bit(self, n):
+        # the eigensolver rule the recurrence rule replaced: sterf on the
+        # O(n) tridiagonal moves no bit of numpy's dense eigensolve once
+        # Newton has polished it, so the zeros wavefunctions.nodes takes
+        # from the same binding are as exact as numpy's
+        x0, w0 = np.polynomial.legendre.leggauss(n)
+        x1, w1 = golub_welsch(n)
+        assert np.array_equal(x0, x1)
+        assert np.array_equal(w0, w1)
+
     @pytest.mark.parametrize("n", RULE_SIZES)
     def test_rule_is_the_gauss_legendre_rule(self, n):
         # exact rationals at every node up to 64 nodes; above, 40 digits
