@@ -20,6 +20,16 @@ one force evaluation (leapfrog); the momentum between them is the
 synchronised one, used for energy, zero crossings and samples.  In the
 canonical pair (x, p = v/z) of H = (1/2) z p^2 + V this is the same
 kick-drift-kick scheme, so the two forms differ only by rounding.
+
+V and its force depend on a only through the tangent chart
+r = S(a)/K(a) = T(a), T = (tanh, tan, identity) for lam (> 0, < 0, = 0):
+V = c*r^2 with c = alpha^2/(2|lam|) (alpha^2/2 at lam = 0), and
+dV/da = 2c*r*(1 - sig*r^2), because sech^2 = 1 - tanh^2 and
+sec^2 = 1 + tan^2 (sig = +1, -1, 0).  So a step makes one call of T and
+no division: the stepper carries a and the momentum prescaled to
+p = sqrt|lam|*h*q (h*q at lam = 0), so the drift is a += p, while the
+energy stays in the units of H.  x has the sign of a, so zero crossings
+are found on a, and S and K are evaluated only for samples.
 """
 
 import math
@@ -103,70 +113,70 @@ class Trajectory:
 def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
               h: float, n: int, traj: Trajectory | None = None,
               sample_every: int = 0):
-    """Advance n leapfrog steps from (x, v) at time t0 in the (u, q) chart.
+    """Advance n leapfrog steps from (x, v) at time t0 in the (a, p) chart.
 
-    Every step does one drift, one chart evaluation and one force
-    evaluation; the state between the two half-kicks is synchronised.
-    Every sample_every-th synchronised state is appended to traj (if
-    given).  Returns (max |E - E0|, first and last upward zero-crossing
-    times of x, number of crossings after the first).  Raises
-    DomainExitError if a drift crosses a wall (negative coupling).
+    Each whole chunk of sample_every steps (one chunk without traj) ends
+    with a sample (t, x, v, E) appended to traj, the one place S and K
+    are called.  Returns (max |E - E0|, first and last upward
+    zero-crossing times of x, number of crossings after the first).
+    Raises DomainExitError if a drift crosses a wall (negative coupling).
     """
     e0 = energy(ClassicalState(x, v), alpha, lam)
     a2 = alpha * alpha
     wall = math.inf
     if lam > 0:
         w = math.sqrt(lam)
-        S, K = math.sinh, math.cosh
+        T, S, K, sig = math.tanh, math.sinh, math.cosh, 1.0
         a = math.asinh(w * x)
     elif lam < 0:
         w = math.sqrt(-lam)
-        S, K = math.sin, math.cos
+        T, S, K, sig = math.tan, math.sin, math.cos, -1.0
         a = math.asin(w * x)
         wall = 0.5 * math.pi
     else:
         w = 1.0
-        S, K = float, lambda _: 1.0
+        T, S, K, sig = float, float, lambda _: 1.0, 0.0
         a = x
-    # a = w*u, x = s/w, k = sqrt(z), r = s/k; V = c*r^2, half-kick g*r/k^2
+    # p = w*h*q; E = kp*p^2 + c*r^2, half-kick p -= r*(g - g*sig*r^2)
     wh = w * h
     lo = -wall
-    g = 0.5 * h * a2 / w
+    g = 0.5 * h * h * a2
+    gs = g * sig
     c = 0.5 * a2 / (w * w)
-    s, k = S(a), K(a)
-    q = v / k
-    f = g * (s / k) / (k * k)
+    kp = 0.5 / (wh * wh)
+    p = wh * v / math.sqrt(1.0 + lam * x * x)
+    r = T(a)
+    f = r * (g - gs * r * r)
     e_lo = e_hi = e0
     first_cross = last_cross = None
     crossings = 0
-    next_sample = sample_every if traj is not None else 0
-    for i in range(1, n + 1):
-        q -= f
-        a += wh * q
-        if not lo < a < wall:
-            raise DomainExitError(t0 + i * h)
-        s_prev = s
-        s = S(a)
-        k = K(a)
-        r = s / k
-        f = g * r / (k * k)
-        q -= f
-        e = 0.5 * q * q + c * r * r
-        if e > e_hi:
-            e_hi = e
-        elif e < e_lo:
-            e_lo = e
-        if s_prev < 0.0 <= s:
-            last_cross = t0 + (i - 1 + s_prev / (s_prev - s)) * h
-            if first_cross is None:
-                first_cross = last_cross
-            else:
-                crossings += 1
-        if i == next_sample:
-            next_sample += sample_every
+    chunk = sample_every if traj is not None else max(n, 1)
+    for start in range(0, n, chunk):
+        for i in range(start + 1, min(start + chunk, n) + 1):
+            p -= f
+            b = a + p
+            if not (lo < b and b < wall):
+                raise DomainExitError(t0 + i * h)
+            r = T(b)
+            r2 = r * r
+            f = r * (g - gs * r2)
+            p -= f
+            e = kp * p * p + c * r2
+            if e > e_hi:
+                e_hi = e
+            elif e < e_lo:
+                e_lo = e
+            if a < 0.0 and b >= 0.0:
+                last_cross = t0 + (i - 1 + a / (a - b)) * h
+                if first_cross is None:
+                    first_cross = last_cross
+                else:
+                    crossings += 1
+            a = b
+        if traj is not None and i == start + chunk:
             traj.t.append(t0 + i * h)
-            traj.x.append(s / w)
-            traj.v.append(q * k)
+            traj.x.append(S(a) / w)
+            traj.v.append(p / wh * K(a))
             traj.e.append(e)
     return max(e_hi - e0, e0 - e_lo), first_cross, last_cross, crossings
 
@@ -211,6 +221,12 @@ def measure_period(alpha: float, lam: float, amplitude: float,
     the span divided by the count), with each crossing located by linear
     interpolation; the relative energy deviation from the initial value
     is tracked along the way.
+
+    Raises ValueError for steps_per_period < 1 or an amplitude or alpha
+    that OrbitParams refuses, DomainExitError if a step leaves the domain
+    (lam < 0), and RuntimeError if fewer than two upward crossings are
+    seen, as when n_periods is too small or a step too coarse to hold
+    the orbit lets it escape (lam > 0).
     """
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be positive")

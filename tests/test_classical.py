@@ -162,6 +162,22 @@ class TestPeriodMeasurement:
             measure_period(1.0, -0.5, 1.4, n_periods=2, steps_per_period=4)
         assert err.value.time == pytest.approx(0.2221441469, abs=1e-10)
 
+    @pytest.mark.parametrize("amplitude, tol", [(10.0, 1e-7), (100.0, 1e-6)])
+    def test_large_amplitude_matches_law(self, amplitude, tol):
+        # at lam*A^2 >> 1 the turning point sits at large a, where the
+        # force factor 1 - tanh^2 cancels; the law still holds (the error
+        # is the same to three digits at 100 periods)
+        probe = measure_period(1.0, 0.5, amplitude, n_periods=10)
+        law = OrbitParams.from_amplitude(amplitude, 1.0, 0.5).period
+        assert abs(probe.period - law) <= tol * law
+
+    @pytest.mark.parametrize("amplitude", [1e4, 1e5])
+    def test_escaping_orbit_is_a_runtime_error(self, amplitude):
+        # 10^4 steps per period do not resolve this orbit: it passes the
+        # well once and runs off in a with no upward crossing
+        with pytest.raises(RuntimeError, match="no full period observed"):
+            measure_period(1.0, 0.5, amplitude, n_periods=10)
+
     def test_wall_exit_error_pickles_from_its_time(self):
         # a worker process sends the error back pickled
         err = pickle.loads(pickle.dumps(DomainExitError(1.5)))
@@ -184,6 +200,68 @@ class TestSharedStepper:
         drift = max(abs(e - e0) for e in traj.e) / e0
         probe = measure_period(1.0, lam, amp, n_periods, spp)
         assert drift == probe.max_rel_energy_drift
+
+    @staticmethod
+    def _count_calls(monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(math, name)
+
+            def counted(x, name=name, real=real):
+                calls[name] += 1
+                return real(x)
+
+            monkeypatch.setattr(math, name, counted)
+        return calls
+
+    CHARTS = ("tanh", "tan", "sinh", "cosh", "sin", "cos")
+
+    @pytest.mark.parametrize("lam, chart", [(0.5, "tanh"), (-0.5, "tan")])
+    def test_one_chart_call_per_step(self, monkeypatch, lam, chart):
+        # the force comes from r = T(a) alone: n + O(1) calls of T, and
+        # a probe, which takes no samples, calls neither S nor K
+        calls = self._count_calls(monkeypatch, self.CHARTS)
+        for n_periods in (2, 4):
+            calls.update(dict.fromkeys(calls, 0))
+            measure_period(1.0, lam, 1.0, n_periods, steps_per_period=100)
+            n = 100 * n_periods
+            assert n <= calls[chart] <= n + 2
+            assert sum(calls.values()) == calls[chart]
+
+    def test_chart_functions_only_at_samples(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, self.CHARTS)
+        # 100 steps, every 10th sampled: S and K once per sample
+        traj = integrate(ClassicalState(1.0, 0.0), 1.0, 0.5, 1.0, 0.01,
+                         sample_every=10)
+        assert len(traj.t) == 11
+        assert 100 <= calls.pop("tanh") <= 102
+        assert calls == {"tan": 0, "sinh": 10, "cosh": 10, "sin": 0, "cos": 0}
+
+    @pytest.mark.parametrize("lam", [0.5, -0.5, 0.1, -0.1])
+    def test_tangent_chart_matches_the_sinh_cosh_steps(self, lam):
+        # reference: the same kick-drift-kick in (a, q), with the force
+        # g*S/K^3 from two chart calls; the tangent chart only reorders
+        # rounding, so 1000 synchronised states agree to 1e-12
+        alpha, h, n = 1.0, 0.01, 1000
+        w = math.sqrt(abs(lam))
+        S, K, inv = ((math.sinh, math.cosh, math.asinh) if lam > 0
+                     else (math.sin, math.cos, math.asin))
+        a = inv(w * 0.9)
+        s, k = S(a), K(a)
+        q = 0.2 / k
+        g = 0.5 * h * alpha * alpha / w
+        ref = []
+        for _ in range(n):
+            q -= g * s / k**3
+            a += w * h * q
+            s, k = S(a), K(a)
+            q -= g * s / k**3
+            ref.append((s / w, q * k))
+        traj = integrate(ClassicalState(0.9, 0.2), alpha, lam, n * h, h)
+        assert len(traj.x) == n + 1
+        for (x, v), xt, vt in zip(ref, traj.x[1:], traj.v[1:]):
+            assert abs(x - xt) <= 1e-12
+            assert abs(v - vt) <= 1e-12
 
     def test_check_classical_work_is_pinned(self):
         # a faster stepper must not buy its speed with a smaller check
