@@ -35,6 +35,8 @@ are found on a, and S and K are evaluated only for samples.
 import math
 from dataclasses import dataclass
 
+from .params import CLASSICAL_PERIODS, CLASSICAL_STEPS_PER_PERIOD
+
 
 class DomainExitError(RuntimeError):
     """Trajectory reached the domain wall (negative coupling only)."""
@@ -119,7 +121,9 @@ def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
     with a sample (t, x, v, E) appended to traj, the one place S and K
     are called.  Returns (max |E - E0|, first and last upward
     zero-crossing times of x, number of crossings after the first).
-    Raises DomainExitError if a drift crosses a wall (negative coupling).
+    Raises DomainExitError if a drift crosses a wall (negative coupling),
+    and RuntimeError if a sample overflows, as when a step too coarse to
+    hold the orbit lets it escape (positive coupling).
     """
     e0 = energy(ClassicalState(x, v), alpha, lam)
     a2 = alpha * alpha
@@ -174,9 +178,17 @@ def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
                     crossings += 1
             a = b
         if traj is not None and i == start + chunk:
+            try:
+                x, v = S(a) / w, p / wh * K(a)
+                if math.isinf(x) or math.isinf(v):
+                    raise OverflowError
+            except OverflowError:
+                raise RuntimeError(
+                    f"trajectory left float range at t = {t0 + i * h}: "
+                    "take more steps per period") from None
             traj.t.append(t0 + i * h)
-            traj.x.append(S(a) / w)
-            traj.v.append(p / wh * K(a))
+            traj.x.append(x)
+            traj.v.append(v)
             traj.e.append(e)
     return max(e_hi - e0, e0 - e_lo), first_cross, last_cross, crossings
 
@@ -186,7 +198,9 @@ def integrate(state0: ClassicalState, alpha: float, lam: float, total_time: floa
     """Fixed-step integration from an initial state; samples (t, x, v, E).
 
     Runs round(total_time / h) steps, at least one; a negative total_time,
-    like h <= 0, sample_every < 1 or a state off the domain, is a ValueError.
+    like h <= 0, sample_every < 1 or a state off the domain, is a ValueError,
+    and a sample past float range (an orbit the step cannot hold) a
+    RuntimeError.
     """
     if not total_time >= 0:
         raise ValueError(f"total_time {total_time} must be nonnegative")
@@ -214,7 +228,9 @@ class PeriodProbe:
 
 
 def measure_period(alpha: float, lam: float, amplitude: float,
-                   n_periods: int = 100, steps_per_period: int = 10_000) -> PeriodProbe:
+                   n_periods: int = CLASSICAL_PERIODS,
+                   steps_per_period: int = CLASSICAL_STEPS_PER_PERIOD,
+                   ) -> PeriodProbe:
     """Run from the turning point and time upward zero crossings of x.
 
     The period is the mean crossing-to-crossing interval (equivalently
@@ -235,7 +251,9 @@ def measure_period(alpha: float, lam: float, amplitude: float,
     drift, first_cross, last_cross, crossings = _leapfrog(
         amplitude, 0.0, 0.0, alpha, lam, h, n_periods * steps_per_period)
     if crossings < 1:
-        raise RuntimeError("no full period observed; integrate longer")
+        raise RuntimeError(
+            "no full period observed: integrate longer, or take more steps "
+            "per period if the orbit escapes")
     e0 = energy(ClassicalState(amplitude, 0.0), alpha, lam)
     return PeriodProbe(
         period=(last_cross - first_cross) / crossings,

@@ -21,8 +21,6 @@ from fractions import Fraction
 
 from . import params
 from .hermite import (
-    NORM_GENERATING,
-    NORM_RODRIGUES,
     generating_coeffs,
     proportionality,
     rodrigues,
@@ -195,20 +193,26 @@ def cmd_potential(args) -> int:
 
 def cmd_polys(args) -> int:
     lam = _lambda(args, None, exact=True)
-    n_max = args.nmax
-    if not lam and args.normalization == NORM_RODRIGUES:
+    n_max, route = args.nmax, args.normalization
+    if not lam and route == "rodrigues":
         raise ValueError("the derivative route needs a fixed nonzero "
                          "rational deformation (--lambda)")
     if not lam and args.ratios:
         raise ValueError(
             "ratio table needs a fixed nonzero rational deformation")
-    if args.normalization == NORM_RODRIGUES:
+    if route == "rodrigues":
         polys = [rodrigues(n, lam) for n in range(n_max + 1)]
-    elif args.normalization == "series":
+    elif route == "series":
         polys = [series_solution(n, lam) for n in range(n_max + 1)]
     else:
         polys = generating_coeffs(n_max, lam)
-    dicts = [p.to_json_dict() for p in polys]
+    # a row's n is its place, its route the flag's (series_h2 at odd n)
+    dicts = [{"n": n,
+              "normalization": (f"series_h{n % 2 + 1}" if route == "series"
+                                else route),
+              "lambda": "generic" if lam is None else str(lam),
+              "coeffs": [str(c) for c in p.coeffs]}
+             for n, p in enumerate(polys)]
     if args.ratios:
         gen = generating_coeffs(n_max, lam)
         for n, d in enumerate(dicts):
@@ -420,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument(
         "--normalization",
-        choices=(NORM_GENERATING, "series", NORM_RODRIGUES),
-        default=NORM_GENERATING,
+        choices=("generating", "series", "rodrigues"),
+        default="generating",
     )
     p.add_argument("--ratios", action="store_true",
                    help="include proportionality constants to the generating route")

@@ -14,7 +14,8 @@ vanishes.  Three constructions are implemented:
 
 The generating-function normalization is the canonical one used by the
 spectrum and wavefunction modules; the others are related to it by the
-scalars ``proportionality`` recovers.
+scalars ``proportionality`` recovers.  A result carries no tag of its
+route or index: the caller knows both.
 """
 
 import math
@@ -23,11 +24,6 @@ from fractions import Fraction
 from .exact import LamPoly, exact_rational, simplify_ratio
 from .polynomials import (DERIVATIVE, GENERIC, LadderFunction, LambdaPoly,
                           ring_elem)
-
-NORM_SERIES_EVEN = "series_h1"
-NORM_SERIES_ODD = "series_h2"
-NORM_RODRIGUES = "rodrigues"
-NORM_GENERATING = "generating"
 
 
 def series_solution(p: int, lam=GENERIC) -> LambdaPoly:
@@ -49,8 +45,7 @@ def series_solution(p: int, lam=GENERIC) -> LambdaPoly:
     for k in range(start, p - 1, 2):
         a = -a * (L * k * k - 2 * k + eig) * Fraction(1, (k + 2) * (k + 1))
         coeffs[k + 2] = a
-    tag = NORM_SERIES_ODD if p % 2 else NORM_SERIES_EVEN
-    return LambdaPoly(coeffs, lam=lam, normalization=tag, n=p)
+    return LambdaPoly(coeffs, lam=lam)
 
 
 def rodrigues(n: int, lam) -> LambdaPoly:
@@ -83,7 +78,7 @@ def rodrigues(n: int, lam) -> LambdaPoly:
     poly = f.poly
     for _ in range(int(f.s) if not f.is_zero() else 0):
         poly = poly.times_z()
-    return poly.replace(normalization=NORM_RODRIGUES, n=n)
+    return poly
 
 
 def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
@@ -123,9 +118,7 @@ def generating_coeffs(n_max: int, lam=GENERIC) -> list[LambdaPoly]:
                 coeffs[k - i] = LamPoly([Fraction(c * a) for a in weights[k]])
             else:
                 coeffs[k - i] = Fraction(c * weights[k], q**k)
-        out.append(
-            LambdaPoly(coeffs, lam=lam, normalization=NORM_GENERATING, n=n)
-        )
+        out.append(LambdaPoly(coeffs, lam=lam))
     return out
 
 
@@ -138,20 +131,23 @@ def recursion_coeffs(n, lam):
 
 def three_term_next(h_n: LambdaPoly, h_nm1: LambdaPoly, n: int) -> LambdaPoly:
     """Next generating-normalization polynomial from the last two:
-    2y(1 - n*lam) h_n - n(2 - (n-1)*lam) h_{n-1}.
+    2y(1 - n*lam) h_n - n(2 - (n-1)*lam) h_{n-1}.  The pair is checked
+    by value: the y^n coefficient of h_n must be a_{n-1} times the y^(n-1)
+    coefficient of h_{n-1}, else a ValueError.
     """
     if n < 1:
         raise ValueError("recursion starts at n = 1")
-    for h in (h_n, h_nm1):
-        if h.normalization != NORM_GENERATING:
-            raise ValueError(
-                f"recursion needs generating normalization, got {h.normalization}"
-            )
     if h_n.lam != h_nm1.lam:
         raise ValueError("mixed deformation modes")
-    a, b = recursion_coeffs(n, ring_elem(LamPoly.LAM, h_n.lam))
-    out = h_n.shift_y().scale(a) - h_nm1.scale(b)
-    return out.replace(normalization=NORM_GENERATING, n=n + 1)
+    L = ring_elem(LamPoly.LAM, h_n.lam)
+    lead = h_n.coefficient(n)
+    expected = recursion_coeffs(n - 1, L)[0] * h_nm1.coefficient(n - 1)
+    if lead != expected:
+        raise ValueError(
+            f"recursion needs the generating normalization: y^{n} "
+            f"coefficient {lead}, expected {expected}")
+    a, b = recursion_coeffs(n, L)
+    return h_n.shift_y().scale(a) - h_nm1.scale(b)
 
 
 def derivative_relation_check(family: list[LambdaPoly], n: int) -> bool:

@@ -1,7 +1,7 @@
 """Polynomials in the oscillator coordinate, exact in both deformation modes.
 
-A ``LambdaPoly`` is a dense univariate polynomial in the adimensional
-coordinate y.  Its coefficients live in one of two exact rings:
+A ``LambdaPoly`` is a dense polynomial in the adimensional coordinate y,
+held as nothing but its coefficients, which live in one of two exact rings:
 
 * fixed mode -- ``Fraction`` coefficients for a fixed rational
   deformation value (``poly.lam`` holds that value);
@@ -62,22 +62,19 @@ def ring_elem(c, lam=GENERIC):
 
 
 class LambdaPoly(DensePoly):
-    """Dense exact polynomial in y with a deformation mode tag.
+    """Dense exact polynomial in y: its coefficients and their ring.
 
-    ``n`` is the nominal family index (parity bookkeeping); the true
-    degree is reported by ``degree`` and can drop below ``n`` when
+    The degree is the true one, which can fall below a family index when
     leading factors vanish at special deformation values.
     """
 
-    __slots__ = ("lam", "normalization", "n")
+    __slots__ = ("lam",)
 
-    def __init__(self, coeffs, lam=GENERIC, normalization=None, n=None):
+    def __init__(self, coeffs, lam=GENERIC):
         if lam is not GENERIC:
             lam = exact_rational(lam)
         self._set_coeffs([ring_elem(c, lam) for c in coeffs])
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "normalization", normalization)
-        object.__setattr__(self, "n", n)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -88,31 +85,10 @@ class LambdaPoly(DensePoly):
     def one(cls, lam=GENERIC):
         return cls((1,), lam=lam)
 
-    def replace(self, normalization=None, n=None):
-        return LambdaPoly(
-            self.coeffs,
-            lam=self.lam,
-            normalization=normalization or self.normalization,
-            n=self.n if n is None else n,
-        )
-
     # -- queries --------------------------------------------------------
     @property
     def generic(self):
         return self.lam is GENERIC
-
-    @property
-    def parity(self):
-        """'even' or 'odd' from the nominal index (true degree if unset)."""
-        k = self.n if self.n is not None else max(self.degree, 0)
-        return "even" if k % 2 == 0 else "odd"
-
-    def parity_clean(self):
-        """All coefficients of the opposite parity vanish exactly."""
-        k = self.n if self.n is not None else max(self.degree, 0)
-        return all(
-            not c for i, c in enumerate(self.coeffs) if (i - k) % 2 != 0
-        )
 
     # -- ring hooks -------------------------------------------------------
     def _coerce(self, other):
@@ -190,21 +166,7 @@ class LambdaPoly(DensePoly):
         if not self.generic:
             raise ValueError("polynomial already has a fixed deformation value")
         lam = exact_rational(lam)
-        return LambdaPoly(
-            [c(lam) for c in self.coeffs],
-            lam=lam,
-            normalization=self.normalization,
-            n=self.n,
-        )
-
-    # -- serialization ------------------------------------------------------
-    def to_json_dict(self):
-        return {
-            "n": self.n if self.n is not None else max(self.degree, 0),
-            "normalization": self.normalization or "raw",
-            "lambda": "generic" if self.generic else str(self.lam),
-            "coeffs": [str(c) for c in self.coeffs],
-        }
+        return LambdaPoly([c(lam) for c in self.coeffs], lam=lam)
 
     def __str__(self):
         if not self.coeffs:

@@ -74,10 +74,6 @@ class SLDiscretization:
     diag: np.ndarray
     offdiag: np.ndarray
 
-    @property
-    def h(self) -> float:
-        return 2.0 * self.half_width / self.n
-
 
 def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretization:
     """Build the finite-difference operator.

@@ -131,7 +131,7 @@ def _table_poly(n: int, prefactor: LamPoly, lam) -> LambdaPoly:
     coeffs = [LamPoly.ZERO] * (n + 1)
     for power, c in _BRACKETS[n]:
         coeffs[power] = prefactor * c
-    generic = LambdaPoly(coeffs, lam=GENERIC, n=n)
+    generic = LambdaPoly(coeffs, lam=GENERIC)
     if lam is GENERIC:
         return generic
     return generic.substitute_lambda(Fraction(lam))
@@ -464,8 +464,7 @@ def period_probes(lams, amplitudes, alpha: float, n_periods: int,
     return [case + probe for case, probe in zip(cases, probes)]
 
 
-def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
-                    lams=params.CLASSICAL_LAMBDAS,
+def check_classical(lams=params.CLASSICAL_LAMBDAS,
                     amplitudes=params.CLASSICAL_AMPLITUDES,
                     n_periods: int = params.CLASSICAL_PERIODS,
                     steps_per_period: int = params.CLASSICAL_STEPS_PER_PERIOD,
@@ -476,12 +475,12 @@ def check_classical(period_tol: float = 1e-4, drift_tol: float = 1e-6,
             lams, amplitudes, 1.0, n_periods, steps_per_period):
         out.append(
             _record("classical_period", {"lambda": lam, "amplitude": amp},
-                    rel, period_tol)
+                    rel, 1e-4)
         )
         out.append(
             _record("classical_energy_drift",
                     {"lambda": lam, "amplitude": amp},
-                    probe.max_rel_energy_drift, drift_tol)
+                    probe.max_rel_energy_drift, 1e-6)
         )
     return out
 

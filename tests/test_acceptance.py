@@ -73,7 +73,9 @@ def test_criterion_8_eigen_equation_residual():
 
 
 def test_criterion_9_classical_law():
-    results = V.check_classical(period_tol=1e-4, drift_tol=1e-6)
+    results = V.check_classical()
+    assert {(r.check, r.threshold) for r in results} == {
+        ("classical_period", 1e-4), ("classical_energy_drift", 1e-6)}
     _report("criterion 9: classical period law and drift", results)
 
 

@@ -178,6 +178,13 @@ class TestPeriodMeasurement:
         with pytest.raises(RuntimeError, match="no full period observed"):
             measure_period(1.0, 0.5, amplitude, n_periods=10)
 
+    def test_sample_past_float_range_is_a_runtime_error(self):
+        # the same escape in a trajectory: at A = 2000 the sample of step
+        # 10182 is x = -inf, two steps before sinh itself overflows
+        h = OrbitParams.from_amplitude(2000.0, 1.0, 0.5).period / 10_000
+        with pytest.raises(RuntimeError, match="take more steps per period"):
+            integrate(ClassicalState(2000.0, 0.0), 1.0, 0.5, 10_182 * h, h)
+
     def test_wall_exit_error_pickles_from_its_time(self):
         # a worker process sends the error back pickled
         err = pickle.loads(pickle.dumps(DomainExitError(1.5)))
@@ -268,8 +275,6 @@ class TestSharedStepper:
         params = inspect.signature(check_classical).parameters
         defaults = {k: v.default for k, v in params.items()}
         assert defaults == {
-            "period_tol": 1e-4,
-            "drift_tol": 1e-6,
             "lams": (0.5, -0.5, 0.1, -0.1),
             "amplitudes": (0.5, 1.0),
             "n_periods": 100,

@@ -225,6 +225,28 @@ class TestPolysCommand:
         rows = json.loads(out)
         assert rows[2]["ratio_to_generating"] == "7/10"  # (2 - 3/5)/2
 
+    @pytest.mark.parametrize("lam, top", [
+        ("1/3", "8/3"), ("generic", "4 - 4*L"),
+    ])
+    def test_json_row(self, lam, top, capsys):
+        # a row takes n from its place and the route from --normalization
+        flags = [] if lam == "generic" else ["--lambda", lam]
+        _, out = run_cli(capsys, "polys", *flags, "--nmax", "2", "--format",
+                         "json")
+        assert json.loads(out)[2] == {
+            "n": 2, "normalization": "generating", "lambda": lam,
+            "coeffs": ["-2", "0", top],
+        }
+
+    def test_series_rows_name_their_solution(self, capsys):
+        # a0 = 1 at even n (series_h1), a1 = 1 at odd n (series_h2)
+        _, out = run_cli(capsys, "polys", "--normalization", "series",
+                         "--format", "json")
+        rows = json.loads(out)
+        assert [r["n"] for r in rows] == list(range(7))
+        assert [r["normalization"] for r in rows[4:6]] == [
+            "series_h1", "series_h2"]
+
 
 class TestWavefnCommand:
     def test_overflow_is_an_error(self, capsys):
@@ -731,6 +753,16 @@ class TestClassicalCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: total_time -")
         assert captured.err.endswith(" must be nonnegative\n")
+
+    def test_escaping_trajectory_is_an_error(self, capsys):
+        # 10^4 steps per period do not hold the orbit at A = 10^4: it runs
+        # off in the chart until a sample leaves float range
+        assert main(["classical", "--amplitude", "1e4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trajectory left float range")
+        assert captured.err.endswith(": take more steps per period\n")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("probe", [[], ["--probe"]])
     def test_zero_alpha_refused(self, probe, capsys):

@@ -119,16 +119,20 @@ class TestLambdaPoly:
             _ = a + b
 
     def test_true_degree_vs_nominal(self):
-        p = LambdaPoly((1, 0, 0), lam=Fraction(1, 2), n=2)
-        assert p.n == 2
+        p = LambdaPoly((1, 0, 0), lam=Fraction(1, 2))
         assert p.degree == 0
 
     def test_parity_bookkeeping(self):
-        p = LambdaPoly((0, 1, 0, 5), lam=GENERIC, n=3)
-        assert p.parity == "odd"
-        assert p.parity_clean()
-        q = LambdaPoly((1, 1), lam=GENERIC, n=2)
-        assert not q.parity_clean()
+        p = LambdaPoly((0, 1, 0, 5), lam=GENERIC)
+        assert p.degree == 3
+        assert not any(p.coeffs[0::2])
+        q = LambdaPoly((1, 1), lam=GENERIC)
+        assert any(q.coeffs[0::2]) and any(q.coeffs[1::2])
+
+    def test_holds_only_coefficients_and_ring(self):
+        assert LambdaPoly.__slots__ == ("lam",)
+        p = LambdaPoly((1, 2), lam=Fraction(1, 3))
+        assert p + p == p.scale(2) == LambdaPoly((2, 4), lam=Fraction(1, 3))
 
     def test_times_z_generic(self):
         one = LambdaPoly.one()
@@ -169,22 +173,6 @@ class TestLambdaPoly:
         assert ring_elem(LamPoly((1, 1)), 1) == Fraction(2)
         with pytest.raises(TypeError):
             ring_elem(LamPoly.LAM, 0.3)
-
-    def test_json_dict(self):
-        p = LambdaPoly((Fraction(-1, 2), 0, 1), lam=Fraction(1, 3),
-                       normalization="generating", n=2)
-        d = p.to_json_dict()
-        assert d == {
-            "n": 2,
-            "normalization": "generating",
-            "lambda": "1/3",
-            "coeffs": ["-1/2", "0", "1"],
-        }
-
-    def test_json_generic(self):
-        p = LambdaPoly((LamPoly((4, -4)),), lam=GENERIC, n=0)
-        assert p.to_json_dict()["lambda"] == "generic"
-        assert p.to_json_dict()["coeffs"] == ["4 - 4*L"]
 
 
 class TestLadderFunction:

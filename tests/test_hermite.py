@@ -7,7 +7,6 @@ import pytest
 
 from lambda_osc.exact import LamPoly, LamRatio
 from lambda_osc.hermite import (
-    NORM_GENERATING,
     derivative_relation_check,
     generating_coeffs,
     leading_coefficient,
@@ -79,10 +78,6 @@ class TestSeriesSolution:
     def test_solves_the_equation_generic(self, p):
         assert ode_residual(series_solution(p), p).is_zero()
 
-    def test_normalization_tags(self):
-        assert series_solution(4).normalization == "series_h1"
-        assert series_solution(5).normalization == "series_h2"
-
 
 class TestRodrigues:
     def test_half_deformation_quadratic(self):
@@ -121,7 +116,6 @@ class TestRodrigues:
     def test_degenerate_degree_drop(self):
         # at 1/2 the leading product has a zero factor: degree drops to 1
         r = rodrigues(3, Fraction(1, 2))
-        assert r.n == 3
         assert r.degree == 1
         assert r.coeffs == (Fraction(0), Fraction(3, 4))
 
@@ -163,8 +157,8 @@ class TestGeneratingFunction:
     @pytest.mark.parametrize("n", range(13))
     def test_parity(self, n):
         h = generating_coeffs(12)[n]
-        assert h.parity_clean()
-        assert h.parity == ("even" if n % 2 == 0 else "odd")
+        assert h.degree == n
+        assert all(not c for k, c in enumerate(h.coeffs) if (k - n) % 2)
 
     @pytest.mark.parametrize("p", range(10))
     def test_solves_the_equation(self, p):
@@ -192,7 +186,6 @@ class TestThreeTermRecursion:
         lam = Fraction(1, 3)
         h = generating_coeffs(3, lam)
         h4 = three_term_next(h[3], h[2], 3)
-        assert h4.n == 4
         assert h4.degree == 2
         assert h4.coeffs == (Fraction(8), Fraction(0), Fraction(-32, 3))
 
@@ -205,6 +198,18 @@ class TestThreeTermRecursion:
         h = generating_coeffs(2)
         with pytest.raises(ValueError):
             three_term_next(series_solution(1), h[0], 1)
+
+    def test_pair_is_checked_by_value(self):
+        # a generating pair stays one after arithmetic that keeps its
+        # values, and a rescaled member is refused
+        h = generating_coeffs(3)
+        assert three_term_next(h[1].scale(1), h[0], 1) == h[2]
+        lam = Fraction(1, 3)
+        fixed = [p.substitute_lambda(lam) for p in h]
+        assert three_term_next(fixed[2], fixed[1], 2) == (
+            generating_coeffs(3, lam)[3])
+        with pytest.raises(ValueError, match="generating normalization"):
+            three_term_next(h[2].scale(2), h[1], 2)
 
 
 def _golden_lambdas():
