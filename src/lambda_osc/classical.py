@@ -33,9 +33,12 @@ are found on a, and S and K are evaluated only for samples.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .params import CLASSICAL_PERIODS, CLASSICAL_STEPS_PER_PERIOD
+
+# steps between the escape checks of a run that takes no samples
+ESCAPE_CHECK_STEPS = 1 << 12
 
 
 class DomainExitError(RuntimeError):
@@ -50,20 +53,14 @@ class DomainExitError(RuntimeError):
         return type(self), (self.time,)
 
 
-@dataclass(frozen=True)
-class ClassicalState:
-    x: float
-    v: float
-    t: float = 0.0
+ClassicalState = namedtuple("ClassicalState", "x v t", defaults=(0.0,))
 
 
-@dataclass(frozen=True)
-class OrbitParams:
+class OrbitParams(namedtuple("OrbitParams", "amplitude omega phase",
+                             defaults=(0.0,))):
     """Amplitude, constrained frequency, and phase of an exact orbit."""
 
-    amplitude: float
-    omega: float
-    phase: float = 0.0
+    __slots__ = ()
 
     @classmethod
     def from_amplitude(cls, amplitude: float, alpha: float, lam: float,
@@ -81,9 +78,6 @@ class OrbitParams:
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
-
-    def x_of_t(self, t: float) -> float:
-        return self.amplitude * math.sin(self.omega * t + self.phase)
 
 
 def energy(state: ClassicalState, alpha: float, lam: float) -> float:
@@ -104,12 +98,8 @@ def ode_residual(orbit: OrbitParams, alpha: float, lam: float, t: float) -> floa
     return (1.0 + lam * x * x) * xdd - lam * x * xd * xd + alpha * alpha * x
 
 
-@dataclass
-class Trajectory:
-    t: list
-    x: list
-    v: list
-    e: list
+# samples (t, x, v, E), one list each, appended to as the run goes
+Trajectory = namedtuple("Trajectory", "t x v e")
 
 
 def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
@@ -117,9 +107,11 @@ def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
               sample_every: int = 0):
     """Advance n leapfrog steps from (x, v) at time t0 in the (a, p) chart.
 
-    Each whole chunk of sample_every steps (one chunk without traj) ends
-    with a sample (t, x, v, E) appended to traj, the one place S and K
-    are called.  Returns (max |E - E0|, first and last upward
+    Each whole chunk of sample_every steps ends with a sample (t, x, v, E)
+    appended to traj, the one place S and K are called.  Without traj,
+    the run stops after the chunk of ESCAPE_CHECK_STEPS steps in which an
+    orbit escapes (positive coupling), since what is left of it changes
+    none of the results.  Returns (max |E - E0|, first and last upward
     zero-crossing times of x, number of crossings after the first).
     Raises DomainExitError if a drift crosses a wall (negative coupling),
     and RuntimeError if a sample overflows, as when a step too coarse to
@@ -154,7 +146,7 @@ def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
     e_lo = e_hi = e0
     first_cross = last_cross = None
     crossings = 0
-    chunk = sample_every if traj is not None else max(n, 1)
+    chunk = sample_every if traj is not None else ESCAPE_CHECK_STEPS
     for start in range(0, n, chunk):
         for i in range(start + 1, min(start + chunk, n) + 1):
             p -= f
@@ -177,7 +169,12 @@ def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
                 else:
                     crossings += 1
             a = b
-        if traj is not None and i == start + chunk:
+        if traj is None:
+            # past the saturation of float tanh the kick is exactly 0, so
+            # an outward p stays as it is: no crossing can follow
+            if sig > 0.0 and r * r == 1.0 and p * r >= 0.0:
+                break
+        elif i == start + chunk:
             try:
                 x, v = S(a) / w, p / wh * K(a)
                 if math.isinf(x) or math.isinf(v):
@@ -218,13 +215,11 @@ def integrate(state0: ClassicalState, alpha: float, lam: float, total_time: floa
     return traj
 
 
-@dataclass(frozen=True)
-class PeriodProbe:
+class PeriodProbe(namedtuple("PeriodProbe",
+                             "period crossings max_rel_energy_drift")):
     """Zero-crossing period measurement plus energy-drift tracking."""
 
-    period: float
-    crossings: int
-    max_rel_energy_drift: float
+    __slots__ = ()
 
 
 def measure_period(alpha: float, lam: float, amplitude: float,

@@ -7,10 +7,21 @@ invocations produce byte-identical files.  A flag given that the run
 does not read is refused before anything is written, so a flag that
 some mode skips defaults to None and gets its default where it is read.
 
-Checks, oracles and numpy are imported inside the commands that run
-them: only ``verify``, ``gram``, ``sl``, ``ladder`` and ``classical
---probe`` load ``verification``, and ``polys``, ``ladder``, ``spectrum``,
-``potential`` and ``classical`` start without numpy.
+Importing this module loads ``params``, ``output`` and
+``wavefunctions`` (which itself loads only ``params``).  Each command
+imports the rest where it runs:
+
+* ``potential`` loads nothing more, and ``classical`` only ``classical``;
+* ``spectrum`` loads ``spectrum``, and ``polys`` the exact layer
+  (``exact``, ``polynomials``, ``hermite``);
+* ``wavefn`` loads numpy, and the exact layer with the recursion
+  coefficients of ``hermite``;
+* ``verify``, ``gram``, ``sl``, ``ladder`` and ``classical --probe``
+  load ``verification`` with the exact layer, and the oracles and numpy
+  that their checks use.
+
+So ``polys``, ``ladder``, ``spectrum``, ``potential`` and ``classical``
+start without numpy.
 """
 
 import argparse
@@ -20,15 +31,8 @@ import sys
 from fractions import Fraction
 
 from . import params
-from .hermite import (
-    generating_coeffs,
-    proportionality,
-    rodrigues,
-    series_solution,
-)
 from .output import dumps_json, write_csv
 from .params import classify
-from .spectrum import continuous_curve, energies
 # gram_matrix stays bound here for the perfbench tracer, which looks it up
 from .wavefunctions import gram_matrix, wavefunction
 
@@ -137,6 +141,8 @@ def _lambda(args, default, exact=False, where=None):
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import continuous_curve, energies
+
     lams = args.figure or _lambdas(args, params.SPECTRUM_LAMBDAS)
     rows = []
     for lam in lams:
@@ -192,6 +198,9 @@ def cmd_potential(args) -> int:
 
 
 def cmd_polys(args) -> int:
+    from .hermite import (generating_coeffs, proportionality, rodrigues,
+                          series_solution)
+
     lam = _lambda(args, None, exact=True)
     n_max, route = args.nmax, args.normalization
     if not lam and route == "rodrigues":

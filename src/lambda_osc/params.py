@@ -1,6 +1,8 @@
 """Physical and adimensional parameter sets for the nonlinear oscillator.
 
-Values are immutable and all operations are pure.  The deformation
+Values are immutable and all operations are pure.  Like every value
+class of the package, the two here are named tuples: equal to, and
+hashing like, the plain tuple of their fields.  The deformation
 parameter is accepted either as an exact rational (symbolic pathways)
 or a float (numeric pathways); conversions between the two are always
 explicit, never implicit.  The acceptance sets (the spectra's and the
@@ -10,7 +12,7 @@ checks and for the command line, which reads them without the checks.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 SPECTRUM_LAMBDAS = (0.8, 0.4, 0.3)  # the published bound levels
@@ -32,26 +34,26 @@ VERIFY_GROUPS = ("poly", "spectrum", "sl", "gram", "ladder", "commutator",
 OVERRIDABLE_GROUPS = ("sl", "gram")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(namedtuple("PhysicalParams", "m alpha hbar lam")):
     """Mass, frequency, action quantum and the physical coupling.
 
     Fields may be floats or Fractions; the derived quantities keep
     whatever exactness the inputs have.
     """
 
-    m: object = 1
-    alpha: object = 1
-    hbar: object = 1
-    lam: object = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m", "alpha", "hbar"):
-            v = getattr(self, name)
+    def __new__(cls, m=1, alpha=1, hbar=1, lam=0):
+        for name, v in (("m", m), ("alpha", alpha), ("hbar", hbar)):
             if not v > 0:
                 raise ValueError(f"{name} must be positive, got {v}")
-        if isinstance(self.lam, float) and not math.isfinite(self.lam):
+        if isinstance(lam, float) and not math.isfinite(lam):
             raise ValueError("coupling must be finite")
+        return super().__new__(cls, m, alpha, hbar, lam)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def beta(self):
@@ -69,20 +71,19 @@ class PhysicalParams:
         return self.lam * self.hbar / (self.m * self.alpha)
 
 
-@dataclass(frozen=True)
-class DeformationParam:
+class DeformationParam(namedtuple("DeformationParam",
+                                  "lam half_width cutoff n_max",
+                                  defaults=(None, None, None))):
     """Quantities that the sign of the dimensionless deformation fixes.
 
     For negative values the coordinate domain is the open interval
-    (-half_width, half_width); for positive values only finitely many
-    states are normalizable: the indices m = 0..n_max with n_max the
-    greatest integer strictly below cutoff = 1/lam.
+    (-half_width, half_width), half_width = 1/sqrt(|lam|); for positive
+    values only finitely many states are normalizable: the indices
+    m = 0..n_max with n_max the greatest integer strictly below
+    cutoff = 1/lam.  Fields that the sign does not fix are None.
     """
 
-    lam: object
-    half_width: object = None   # 1/sqrt(|lam|), negative sign only
-    cutoff: object = None       # 1/lam, positive sign only
-    n_max: int | None = None    # greatest integer strictly below cutoff
+    __slots__ = ()
 
     def is_bound(self, m: int) -> bool:
         """Whether the index m >= 0 is normalizable (m < cutoff)."""

@@ -25,10 +25,10 @@ alpha = 0 or z divides Q, so a result with alpha != 0 is canonical as
 built; only alpha = 0 goes through the long division by z.
 
 A float value is the exact value rounded once: ``LambdaPoly.__call__``
-runs ``evaluate_exact``'s integer kernel, ``exact.horner``, at each
-sample's binary value, and a ``LadderFunction`` multiplies that by the
-float power of z that ``wavefunctions.envelope`` uses too, ``z_power``.
-Only these float evaluations import numpy.
+runs the integer kernel ``exact.horner`` at each sample's binary value,
+and a ``LadderFunction`` multiplies that by the float power of z that
+``wavefunctions.envelope`` uses too, ``z_power``.  Only these float
+evaluations import numpy.
 """
 
 import math
@@ -77,10 +77,6 @@ class LambdaPoly(DensePoly):
         object.__setattr__(self, "lam", lam)
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def zero(cls, lam=GENERIC):
-        return cls((), lam=lam)
-
     @classmethod
     def one(cls, lam=GENERIC):
         return cls((1,), lam=lam)
@@ -141,24 +137,17 @@ class LambdaPoly(DensePoly):
         return self.divmod(other)
 
     # -- evaluation -------------------------------------------------------
-    def _values(self, points):
-        """``exact.horner`` at each rational (p, q); fixed mode only."""
-        if self.generic:
-            raise ValueError("generic polynomial needs a deformation value")
-        return horner(self.coeffs, points)
-
-    def evaluate_exact(self, y):
-        """The exact value at a rational y (a Fraction or int)."""
-        return Fraction(*self._values([Fraction(y).as_integer_ratio()])[0])
-
     def __call__(self, y):
         """Float value (scalar or ndarray y): the exact value at each
-        sample's binary value, rounded once by int / int division."""
+        sample's binary value (``exact.horner``), rounded once by
+        int / int division; fixed mode only."""
+        if self.generic:
+            raise ValueError("generic polynomial needs a deformation value")
         import numpy as np
 
         y = np.asarray(y, dtype=float)
-        out = [n / d for n, d in self._values(
-            v.as_integer_ratio() for v in y.ravel().tolist())]
+        out = [n / d for n, d in horner(
+            self.coeffs, (v.as_integer_ratio() for v in y.ravel().tolist()))]
         return out[0] if y.ndim == 0 else np.array(out).reshape(y.shape)
 
     def substitute_lambda(self, lam):

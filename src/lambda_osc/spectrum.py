@@ -8,7 +8,7 @@ summation over the shape-invariance chain, deliberately avoiding the
 closed form so the two act as independent checks.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .params import PhysicalParams, classify
@@ -24,17 +24,14 @@ def energy(lam, m: int):
     return (m + 0.5) - 0.5 * m * m * lam
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    m: int
-    e: object
-    bound: bool
+EnergyLevel = namedtuple("EnergyLevel", "m e bound")
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    lam: object
-    levels: tuple = field(default_factory=tuple)
+class SpectrumTable(namedtuple("SpectrumTable", "lam levels",
+                               defaults=((),))):
+    """The levels of ``energies`` at one deformation, in index order."""
+
+    __slots__ = ()
 
     @property
     def energies(self):

@@ -16,7 +16,7 @@ spectrum: it is the cross-validation oracle.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -63,16 +63,11 @@ def wall_position(lam: float) -> float:
     return 0.5 * math.pi / math.sqrt(-lam)
 
 
-@dataclass(frozen=True)
-class SLDiscretization:
+class SLDiscretization(namedtuple("SLDiscretization",
+                                  "lam n half_width u diag offdiag")):
     """Assembled symmetric tridiagonal operator on a cell-centered grid."""
 
-    lam: float
-    n: int
-    half_width: float
-    u: np.ndarray
-    diag: np.ndarray
-    offdiag: np.ndarray
+    __slots__ = ()
 
 
 def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretization:
@@ -143,12 +138,10 @@ def default_halfwidth(lam: float, k: int, tail_tol: float = 1e-12) -> float:
     return u_turn + max(8.0, -math.log(tail_tol) / (2.0 * kappa)) + 2.0
 
 
-@dataclass(frozen=True)
-class RefinementLevel:
-    n: int
-    raw: np.ndarray
-    extrapolated: np.ndarray
-    error_estimate: float | None
+# one grid of refine(): its size, the raw and extrapolated eigenvalues,
+# and the change of the deepest extrapolant (None on the first grid)
+RefinementLevel = namedtuple("RefinementLevel",
+                             "n raw extrapolated error_estimate")
 
 
 def refine(

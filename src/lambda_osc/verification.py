@@ -29,7 +29,7 @@ subset loads only what its groups use.
 import functools
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import classical, factorization, params
@@ -50,16 +50,17 @@ from .wavefunctions import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    parameters: dict = field(default_factory=dict)
-    metric: float = 0.0
-    threshold: float = 0.0
-    passed: bool = True
+class CheckResult(namedtuple("CheckResult",
+                             "check parameters metric threshold passed")):
+    """One record: the check's name, its parameters, and the metric
+    against its threshold.  ``_record`` builds every one, so no field
+    has a default (a default dict would be one dict shared by all)."""
+
+    __slots__ = ()
 
     def to_dict(self):
-        d = asdict(self)
+        """The record's fields as a new dict, with "pass" for passed."""
+        d = self._asdict()
         d["pass"] = d.pop("passed")
         return d
 

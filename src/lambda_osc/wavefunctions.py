@@ -13,18 +13,15 @@ tails where the polynomial factor alone is out of float range.
 ``normalized`` runs it on orthonormal coefficients (the Jacobi matrix
 of ``nodes``), so its values stay in float range at every index.
 
-Building a function and its norm is exact or scalar work and imports no
-numpy; the float paths import numpy, and ``mu_inner`` the quadrature,
-when they run.
+Importing this module loads only ``params``.  Building a function and
+its norm is exact or scalar work and imports no numpy; the float paths
+import numpy, the recursion's ``hermite`` and ``polynomials``' z-power,
+and ``mu_inner`` the quadrature, when they run.
 """
 
 import math
 
-from .exact import exact_rational
-from .hermite import generating_coeffs, recursion_coeffs
 from .params import classify
-from .polynomials import LadderFunction, z_power
-from .spectrum import energy
 
 # from this b on, Gamma(b + 1/2)/Gamma(b) comes from its asymptotic series
 # rather than math.gamma; six terms leave a truncation error below 1e-17
@@ -42,6 +39,8 @@ def envelope(y, lam) -> float:
     """The decay factor (1 + lam*y^2)^(-1/(2 lam)) on the domain, from
     ``polynomials.z_power`` (its Gaussian limit at lam = 0)."""
     import numpy as np
+
+    from .polynomials import z_power
 
     out = z_power(np.asarray(y, dtype=float), float(lam), -0.5)
     return float(out) if out.ndim == 0 else out
@@ -71,6 +70,8 @@ class WaveFunction:
         import numpy as np
 
         if normalized not in self._coeffs:
+            from .hermite import recursion_coeffs
+
             if normalized:
                 r = _sqrt_beta(self.m, self.lam)
                 a, b = 1.0 / r, np.append(0.0, r[:-1]) / r
@@ -105,6 +106,8 @@ def _sqrt_beta(n, lam):
     ``hermite.recursion_coeffs``: the monic recursion's Jacobi matrix
     off-diagonal, positive at every index the constructor admits."""
     import numpy as np
+
+    from .hermite import recursion_coeffs
 
     a, b = recursion_coeffs(np.arange(n + 1), float(lam))
     return np.sqrt(b[1:] / (a[1:] * a[:-1]))
@@ -189,6 +192,8 @@ def norm_constant(w: WaveFunction) -> float:
     one carries the 1/(1 - m lam)), so once the exponent passes the cap
     the constant is 0.0 and the loop stops.
     """
+    from .hermite import recursion_coeffs
+
     lam = float(w.lam)
     mant, exp = math.frexp(measure_mass(lam))
     for k in range(1, w.m + 1):
@@ -237,6 +242,11 @@ def eigen_equation_residual(m: int, lam, ys) -> float:
     times the float envelope); at lam = 0 the family carries the
     Gaussian limit."""
     import numpy as np
+
+    from .exact import exact_rational
+    from .hermite import generating_coeffs
+    from .polynomials import LadderFunction
+    from .spectrum import energy
 
     lam = exact_rational(lam)
     s = -1 / (2 * lam) if lam else 0

@@ -2,6 +2,7 @@ import inspect
 import math
 import os
 import pickle
+import time
 
 import pytest
 
@@ -178,6 +179,25 @@ class TestPeriodMeasurement:
         with pytest.raises(RuntimeError, match="no full period observed"):
             measure_period(1.0, 0.5, amplitude, n_periods=10)
 
+    def test_escaped_probe_stops_early(self):
+        # once float tanh saturates the kick is exactly 0 and the orbit
+        # drifts off; 10^8 steps took tens of seconds when all were run
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="no full period observed"):
+            measure_period(1.0, 0.5, 1e4, n_periods=10_000)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_probe_that_escapes_after_crossings_keeps_its_results(self):
+        # 1000 steps per period hold A = 100 for 7 upward crossings, then
+        # it escapes; the values are those of a run of all 50,000 steps
+        want = (698.2178275148061, 6, 0.03426462869082954)
+        for n_periods in (50, 10_000):
+            t0 = time.perf_counter()
+            probe = measure_period(1.0, 0.5, 100.0, n_periods=n_periods,
+                                   steps_per_period=1000)
+            assert time.perf_counter() - t0 < 2.0
+            assert tuple(probe) == want
+
     def test_sample_past_float_range_is_a_runtime_error(self):
         # the same escape in a trajectory: at A = 2000 the sample of step
         # 10182 is x = -inf, two steps before sinh itself overflows
@@ -291,7 +311,8 @@ class TestSharedStepper:
         orbit = OrbitParams.from_amplitude(1.0, 1.0, 0.5, phase=math.pi / 2)
         e0 = rows[0][3]
         for t, x, _v, e in rows:
-            assert abs(x - orbit.x_of_t(t)) <= 1e-4 * orbit.amplitude
+            exact = orbit.amplitude * math.sin(orbit.omega * t + orbit.phase)
+            assert abs(x - exact) <= 1e-4 * orbit.amplitude
             assert abs(e - e0) <= 1e-6 * e0
 
 

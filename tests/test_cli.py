@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -426,6 +427,41 @@ class TestImport:
     def test_trajectory_loads_only_the_integrator(self):
         assert self.loaded_after(["classical"], self.CHECK_MODULES) == [
             "0", "lambda_osc.classical"]
+
+    EXACT_LAYER = ["lambda_osc.exact", "lambda_osc.polynomials",
+                   "lambda_osc.hermite", "lambda_osc.spectrum"]
+
+    def test_cli_import_loads_no_dataclasses_and_no_exact_layer(self):
+        modules = ["dataclasses", "inspect", *self.EXACT_LAYER]
+        src = Path(lambda_osc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = ("import sys, lambda_osc.cli; print(*(m for m in "
+                 "sys.argv[1].split(',') if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe, ",".join(modules)],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.split() == []
+
+    @pytest.mark.parametrize("argv", [["potential"], ["classical"]])
+    def test_commands_off_the_exact_layer_run_without_it(self, argv):
+        assert self.loaded_after(argv, self.EXACT_LAYER) == ["0"]
+
+    def test_spectrum_loads_the_closed_form_only(self):
+        assert self.loaded_after(["spectrum"], self.EXACT_LAYER) == [
+            "0", "lambda_osc.spectrum"]
+
+    def test_no_module_imports_dataclasses(self):
+        # the value classes are named tuples; dataclasses costs start-up
+        pkg = Path(lambda_osc.__file__).resolve().parent
+        for path in sorted(pkg.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert "dataclasses" not in names, path.name
 
     def test_only_the_oracle_loads_quadrature(self):
         # norms are closed forms; quadrature is the overlap oracle of gram

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lambda_osc import factorization as fac
+from lambda_osc.exact import horner
 from lambda_osc.hermite import generating_coeffs, proportionality, rodrigues
 from lambda_osc.params import PhysicalParams, classify
 from lambda_osc.polynomials import DERIVATIVE, LadderFunction, LambdaPoly
@@ -248,7 +249,8 @@ class TestBuildState:
         ys = np.linspace(-0.95 * wall, 0.95 * wall, 41) if wall else (
             np.linspace(-4.0, 4.0, 41)
         )
-        exact = np.array([float(st.poly.evaluate_exact(Fraction(y))) for y in ys])
+        exact = np.array([n / d for n, d in horner(
+            st.poly.coeffs, map(float.as_integer_ratio, ys.tolist()))])
         expect = exact * envelope(ys, lam)
         assert np.max(np.abs(st(ys) - expect)) <= 1e-12 * np.max(np.abs(expect))
 

@@ -293,7 +293,7 @@ class TestProportionality:
         assert proportionality(a, generating_coeffs(1)[1]) is None
 
     def test_zero_cases(self):
-        z = LambdaPoly.zero()
+        z = LambdaPoly(())
         p = generating_coeffs(1)[1]
         assert proportionality(z, p) == 0
         assert proportionality(p, z) is None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lambda_osc.wavefunctions as wf
+from lambda_osc.exact import horner
 from lambda_osc.hermite import generating_coeffs
 from lambda_osc.wavefunctions import (
     WaveFunction,
@@ -85,7 +86,8 @@ class TestEvaluate:
         def refuse(*args, **kwargs):
             raise AssertionError("generating_coeffs called")
 
-        monkeypatch.setattr(wf, "generating_coeffs", refuse)
+        # wavefunctions imports it where it runs, so patch it at the source
+        monkeypatch.setattr("lambda_osc.hermite.generating_coeffs", refuse)
         w = wavefunction(60, -0.5)
         assert np.all(np.isfinite(w(np.linspace(-1.0, 1.0, 101))))
         assert len(nodes(w)) == 60
@@ -161,7 +163,8 @@ class TestNodes:
         ns = nodes(w)
         mids = np.array([(a + b) / 2 for a, b in zip(ns, ns[1:])])
         poly = generating_coeffs(m, Fraction(lam))[m]
-        exact = np.array([float(poly.evaluate_exact(Fraction(y))) for y in mids])
+        exact = np.array([n / d for n, d in horner(
+            poly.coeffs, map(float.as_integer_ratio, mids.tolist()))])
         exact *= envelope(mids, lam)
         got = w(mids)
         assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
@@ -182,7 +185,10 @@ class TestNodes:
         poly = generating_coeffs(m, lam)[m]
         for r in ns:
             r, eps = Fraction(r), Fraction(max(abs(r), 1) * 1e-12)
-            assert poly.evaluate_exact(r - eps) * poly.evaluate_exact(r + eps) < 0
+            # (num, den) with den > 0, so the numerators carry the signs
+            (lo, _), (hi, _) = horner(poly.coeffs, [
+                (r - eps).as_integer_ratio(), (r + eps).as_integer_ratio()])
+            assert lo * hi < 0
 
 
 class TestInnerProducts:
@@ -342,7 +348,7 @@ class TestNormalized:
         poly = generating_coeffs(m, lam)[m]
         want = []
         for y in ys.tolist():
-            h = poly.evaluate_exact(Fraction(y))
+            h = Fraction(*horner(poly.coeffs, [y.as_integer_ratio()])[0])
             log_abs = (math.log(abs(h.numerator)) - math.log(h.denominator)
                        + math.log(envelope(y, float(lam))) - log_norm)
             want.append(math.exp(log_abs) * (1 if h > 0 else -1))
