@@ -1,8 +1,9 @@
 """Eigenvalues of real symmetric tridiagonal matrices, straight from LAPACK.
 
-Two tridiagonal eigensolves run here: ``wavefunctions.nodes`` takes
-every eigenvalue (``dsterf``) for the zeros, and ``sturm_liouville`` the
-lowest k by bisection (``dstebz``, range 'I', order 'E', abstol 0).
+Two tridiagonal eigensolves run here: ``wavefunctions.nodes`` and
+``quadrature.gauss_rule`` take every eigenvalue (``dsterf``) for the
+zeros and the nodes, and ``sturm_liouville`` the lowest k by bisection
+(``dstebz``, range 'I', order 'E', abstol 0).
 numpy's wheels bundle OpenBLAS with all of LAPACK and export these as ``scipy_dsterf_64_`` and ``scipy_dstebz_64_``
 (64-bit integers, Fortran calling convention with hidden string
 lengths), so they are called here through ctypes and scipy is never

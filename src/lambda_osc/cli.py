@@ -286,7 +286,7 @@ def cmd_gram(args) -> int:
 
     rows, report = [], []
     for lam in _lambdas(args, params.GRAM_LAMBDAS):
-        g, dev = verification.gram_comparison(float(lam), args.mmax, args.tol)
+        g, dev = verification.gram_comparison(float(lam), args.mmax)
         n = g.shape[0]
         rows.extend((float(lam), i, j, float(g[i, j]))
                     for i in range(n) for j in range(n))
@@ -454,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="normalized overlap matrices")
     _common_flags(p)
-    p.add_argument("--tol", type=float, default=params.GRAM_TOL,
-                   help="the off-diagonal bound of verify --gram, which runs "
-                        "the quadrature at rtol min(tol/100, 1e-10)")
     p.add_argument("--mmax", type=int, default=params.GRAM_MAX_INDEX)
     p.set_defaults(func=cmd_gram)
 

@@ -1,224 +1,108 @@
-"""Integration against the invariant measure dy / sqrt(1 + lam*y^2).
+"""Gauss rules of the invariant measure in its compact coordinate t.
 
-A change of variable flattens the measure exactly in both regimes:
+The overlap <psi_m, psi_n>, the integral of h_m h_n (1 + lam y^2)^(-1/lam
+- 1/2) over the domain, is |lam|^(-1/2) times a degree-(m + n)
+polynomial in t against (1 - t^2)^a on (-1, 1):
 
-* negative deformation: y = sin(theta)/sqrt(|lam|) turns the integral
-  into a plain theta-integral over (-pi/2, pi/2), scaled by
-  1/sqrt(|lam|);
-* positive deformation: y = sinh(u*sqrt(lam))/sqrt(lam) flattens the
-  measure on the whole line; the u-integral is truncated at a
-  half-width chosen from the integrand's analytic decay rate;
-* zero deformation: the measure is already flat.
+* lam < 0: t = sqrt(|lam|) y and a = 1/|lam| - 1/2;
+* lam > 0: t = tanh(sqrt(lam) u) of the flattening coordinate u, so
+  y = t/sqrt(lam (1 - t^2)); the factor is H_m H_n, H_n = h_n(y)
+  (1 - t^2)^(n/2), and a = 1/lam - 1 - (m + n)/2 > -1 exactly for a
+  bound pair (the finite orthogonality of the Romanovski polynomials);
+* lam = 0 (and subnormal lam, as for the envelope): t = y against
+  exp(-t^2), with no |lam|^(-1/2).
 
-Gauss-Legendre on the transformed interval, with node doubling until
-two successive estimates agree.  Each rule is built on its positive half
-only, by Newton's method on the Legendre recurrence from asymptotic
-starting nodes, in O(n) memory and with no eigensolve.  Nodes are
-applied in symmetric pairs, so integrands odd in exact arithmetic cancel
-exactly in floating point too.
+So the weight's Gauss rule with (m + n)//2 + 1 nodes is exact: nothing
+is truncated and nothing has to converge.  The rule comes from the
+weight alone (Golub & Welsch, Math. Comp. 23 (1969) 221): the monic
+Gegenbauer (DLMF 18.9.1, Table 18.3.1) or Hermite Jacobi matrix, solved
+by LAPACK ``dsterf`` and one Newton step, Christoffel weights from the
+orthonormal recurrence and the mass B(1/2, a + 1).  It reads nothing of the closed
+forms, so a wrong recursion or norm still shows.  Nodes are summed in
++- pairs, so an integrand odd in exact arithmetic cancels exactly.
 """
 
 import math
+import sys
 
 import numpy as np
 
-# smallest relative tolerance double-precision node doubling can meet
-RTOL_FLOOR = 1e-14
-# node doubling starts from this rule and raises NonConvergenceError
-# rather than go past the cap
-START_NODES = 32
-NODE_CAP = 1 << 15
-# Newton on the Legendre nodes stops once no node moves by more than this
-NEWTON_STEP = 4e-16
+from ._lapack import all_eigenvalues
 
-_NODE_CACHE: dict[int, tuple] = {}
+# from this b on, Gamma(b)/Gamma(b + 1/2) comes from its asymptotic series
+# rather than math.gamma; six terms leave a truncation error below 1e-17
+_SERIES_FROM = 16.0
+# log(Gamma(b + 1/2)/Gamma(b)) - log(b)/2 = sum_k c_k b^(1-2k) (DLMF 5.11.8)
+_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224)
 
 
-class NonConvergenceError(RuntimeError):
-    """Node doubling hit the cap, or found f = 0 at every node of the rule
-    it would accept; carries the last two estimates."""
-
-    def __init__(self, message, last=None, previous=None):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
-
-
-class DivergentTailError(ValueError):
-    """The transformed integrand fails to decay toward the truncation edge."""
+def _mass(size: float, b: float) -> float:
+    """size^(-1/2) B(1/2, b) = sqrt(pi/size) Gamma(b)/Gamma(b + 1/2), by
+    the series for large b, where lgamma differences would cancel."""
+    if b < _SERIES_FROM:
+        return math.sqrt(math.pi / size) * math.gamma(b) / math.gamma(b + 0.5)
+    series = 0.0
+    for c in reversed(_SERIES):
+        series = series / (b * b) + c
+    return math.sqrt(math.pi / (size * b)) * math.exp(-series / b)
 
 
-def check_rtol(rtol: float) -> None:
-    if rtol < RTOL_FLOOR:
-        raise ValueError("tolerance below attainable floating-point accuracy")
+def _jacobi(lam: float, degree: int, n: int):
+    """(mu_0, beta_1..beta_{n-1}): the mass and the monic Jacobi matrix's
+    squared off-diagonal of the weight in t that a polynomial factor of
+    this degree carries (the degree matters only for lam > 0)."""
+    if abs(lam) < sys.float_info.min:
+        return math.sqrt(math.pi), np.arange(1, n) / 2
+    a = 1 / -lam - 0.5 if lam < 0 else 1 / lam - 1 - degree / 2
+    if not a > -1:
+        raise ValueError(f"degree {degree} is not normalizable at "
+                         f"deformation {lam}")
+    # k(k + 2a)/((2k + 2a + 1)(2k + 2a - 1)), as two ratios that cannot
+    # overflow; at k = 1 it is 1/(2a + 3), also where a = -1/2 makes it 0/0
+    k = np.arange(2.0, n)
+    c = 2 * (k + a)
+    beta = np.append(1 / (2 * a + 3), k / (c + 1) * ((k + 2 * a) / (c - 1)))
+    return _mass(abs(lam), a + 1), beta[:n - 1]
 
 
-def overlap_halfwidth(lam: float, degree: int, tail_tol: float = 1e-14) -> float:
-    """Truncation half-width for a polynomial-pair measure integrand.
+def _orthonormal(x, root):
+    """p_n(x), p_n'(x) and sum_{k<n} p_k(x)^2 from the orthonormal
+    recurrence sqrt(beta_{k+1}) p_{k+1} = x p_k - sqrt(beta_k) p_{k-1},
+    p_0 = 1, given ``root`` = sqrt(beta_1..beta_n)."""
+    prev, p, total = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    dprev, dp = np.zeros_like(x), np.zeros_like(x)
+    for r_prev, r in zip(np.append(0.0, root[:-1]), root):
+        total += p * p
+        prev, p, dprev, dp = (p, (x * p - r_prev * prev) / r,
+                              dp, (p + x * dp - r_prev * dprev) / r)
+    return p, dp, total
 
-    For positive deformation the flattened integrand behaves like
-    cosh(u*sqrt(lam))^(degree - 2/lam) with degree the combined
-    polynomial degree, so it decays like exp(-kappa*u) with
-    kappa = (2/lam - degree)*sqrt(lam); the half-width makes the tail
-    bound fall below ``tail_tol`` relative to the integrand peak.
-    For zero deformation the Gaussian envelope dominates.
+
+def gauss_rule(lam: float, degree: int, n: int):
+    """The n-node Gauss rule of ``_jacobi(lam, degree, n)``: nodes ascending
+    and symmetric under negation, the eigensolver's polished by one
+    Newton step on p_n, and their Christoffel weights
+    mu_0 / sum_{k<n} p_k(x)^2 over the orthonormal p_k."""
+    mu0, beta = _jacobi(lam, degree, n + 1)
+    root = np.sqrt(beta)
+    x = all_eigenvalues(np.zeros(n), root[:-1])
+    x = (x - x[::-1]) / 2
+    p, dp, _ = _orthonormal(x, root)
+    x = x - p / dp
+    return x, mu0 / _orthonormal(x, root)[2]
+
+
+def integrate_measure(f, lam: float, degree: int) -> float:
+    """The integral of f(t), a polynomial of at most ``degree`` evaluated
+    on an ndarray of t, against the weight of ``_jacobi(lam, degree, .)``;
+    the overlap <psi_m, psi_n> is the one of the pair's polynomial factor
+    with degree m + n.  The rule has degree//2 + 1 nodes, so it is exact
+    up to rounding; a ValueError refuses a degree the weight cannot carry.
     """
-    if lam < 0:
-        return 0.0
-    if lam == 0:
-        # envelope exp(-u^2): solve exp(-U^2) * U^degree ~ tail_tol
-        u = math.sqrt(-math.log(tail_tol) + 4.0)
-        for _ in range(20):
-            u = math.sqrt(-math.log(tail_tol) + max(degree, 1) * math.log(u + 2.0))
-        return u + 2.0
-    kappa = (2.0 / lam - degree) * math.sqrt(lam)
-    if kappa <= 0:
-        raise DivergentTailError(
-            f"combined degree {degree} is not normalizable at deformation {lam}"
-        )
-    # peak of y^degree * envelope sits near where the exponent balances
-    u_peak = (math.asinh(math.sqrt(degree * lam / 2.0)) / math.sqrt(lam)
-              if degree > 0 else 0.0)
-    u = u_peak + (-math.log(tail_tol) + degree * math.log(2.0) + 5.0) / kappa
-    # keep sinh within floating-point range
-    return min(u, 600.0 / math.sqrt(lam))
-
-
-def _legendre(n: int, x):
-    """P_n(x) and P_n'(x) from the three-term recurrence
-    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}, vectorised over x."""
-    prev = np.ones_like(x)
-    cur = x.copy()
-    nxt = np.empty_like(x)
-    for k in range(1, n):
-        np.multiply(x, cur, out=nxt)
-        nxt *= (2 * k + 1) / (k + 1)
-        prev *= k / (k + 1)
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-    # (1 - x)(1 + x) keeps full relative precision near x = 1
-    return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
-
-
-def _gauss_legendre_half(n: int):
-    """The n // 2 positive nodes of the n-point Gauss-Legendre rule on
-    (-1, 1), ascending, with their weights (an odd rule's centre node is
-    left out); n >= 2.
-
-    Tricomi's asymptotic nodes start Newton's method on P_n, evaluated by
-    its three-term recurrence in O(n) memory (Hale & Townsend, SIAM J.
-    Sci. Comput. 35 (2013) A652), until no node moves by more than
-    NEWTON_STEP; the weights are 2 / ((1 - x^2) P_n'(x)^2) at the final
-    nodes.  O(n^2) work over n // 2 nodes, no eigensolve.
-    """
-    k = np.arange(n // 2, 0, -1)
-    theta = np.pi * (4 * k - 1) / (4 * n + 2)
-    x = np.cos(theta) * (1.0 - (n - 1) / (8 * n**3)
-                         - (39 - 28 / np.sin(theta)**2) / (384 * n**4))
-    while True:
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x -= step
-        if np.abs(step).max() <= NEWTON_STEP:
-            break
-    _, dp = _legendre(n, x)
-    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-
-
-def _paired_nodes(n: int):
-    """Positive Gauss-Legendre nodes, ascending, with their weights.
-
-    Returns (x_pos, w_pos); the rule on (-1, 1) is the sum of
-    w*(f(x) + f(-x)) over the pairs, and the edgemost node is the last.
-    Every rule has START_NODES * 2^k nodes, an even count, so none sits
-    at the centre.  Pairing enforces exact cancellation for odd
-    integrands.  Each rule is built once per process.
-    """
-    cached = _NODE_CACHE.get(n)
-    if cached is None:
-        cached = _NODE_CACHE[n] = _gauss_legendre_half(n)
-    return cached
-
-
-def _estimate(f_of_t, half_len: float, n: int):
-    """Gauss-Legendre estimate on (-half_len, half_len) by symmetric pairs.
-
-    Returns (integral, integral of |f|, max |f| at the two edgemost nodes).
-    """
-    xp, wp = _paired_nodes(n)
-    t = xp * half_len
-    fp = np.asarray(f_of_t(t), dtype=float)
-    fm = np.asarray(f_of_t(-t), dtype=float)
-    total = float(np.sum(wp * (fp + fm)) * half_len)
-    total_abs = float(np.sum(wp * (np.abs(fp) + np.abs(fm))) * half_len)
-    edge = max(abs(float(fp[-1])), abs(float(fm[-1])))
-    return total, total_abs, edge
-
-
-def integrate_measure(f, lam: float, half_width: float | None = None,
-                      rtol: float = 1e-10) -> float:
-    """Integral of f against the invariant measure over the full domain.
-
-    ``f`` must accept ndarray arguments in the original coordinate.  The
-    sign of ``lam`` picks the change of variable.  ``half_width`` is the
-    truncation half-width U of the flattening coordinate, required for
-    lam >= 0 and ignored for negative deformation, where the walls fix
-    the interval.  Node doubling stops when two successive estimates
-    agree to ``rtol`` relative to the integral of |f|.
-    Raises DivergentTailError when the truncated integrand visibly fails
-    to decay, and NonConvergenceError when node doubling exhausts the cap
-    or f is 0 at every node of a rule whose estimate would be accepted:
-    an integral of |f| of exactly 0 gives no scale to agree against, and
-    a zero integrand looks the same as one whose support the nodes miss.
-    """
-    check_rtol(rtol)
-    lam = float(lam)
-    walls = lam < 0
-    if walls:
-        root = math.sqrt(-lam)
-        half_len = math.pi / 2.0
-
-        def transformed(t):
-            return f(np.sin(t) / root) / root
-
-    else:
-        if half_width is None or not half_width > 0:
-            raise ValueError("positive truncation half-width required")
-        half_len = float(half_width)
-        if lam > 0:
-            root = math.sqrt(lam)
-
-            def transformed(t):
-                return f(np.sinh(root * t) / root)
-
-        else:
-            transformed = f
-
-    n = START_NODES
-    prev = None
-    while True:
-        est, est_abs, edge = _estimate(transformed, half_len, n)
-        if not walls and edge * half_len > 1e3 * rtol * est_abs:
-            raise DivergentTailError(
-                f"integrand does not decay at the truncation edge "
-                f"(edge value {edge:.3e} vs integral scale {est_abs:.3e})"
-            )
-        if prev is not None and abs(est - prev) <= rtol * est_abs:
-            if est_abs == 0:
-                raise NonConvergenceError(
-                    f"integrand is 0 at every node of the {n}-node rule "
-                    f"and the {n // 2}-node estimate is 0, so its scale is "
-                    f"unknown (last {est!r}, previous {prev!r})",
-                    last=est,
-                    previous=prev,
-                )
-            return est
-        if 2 * n > NODE_CAP:
-            raise NonConvergenceError(
-                f"no convergence with {n} nodes "
-                f"(last {est:.17g}, previous {prev!r})",
-                last=est,
-                previous=prev,
-            )
-        prev = est
-        n *= 2
+    x, w = gauss_rule(float(lam), degree, degree // 2 + 1)
+    fx = np.asarray(f(x), dtype=float)
+    half = x.size // 2
+    total = w[:half] @ (fx[:half] + fx[::-1][:half])
+    if x.size % 2:
+        total += w[half] * fx[half]
+    return float(total)

@@ -277,14 +277,14 @@ def check_sl_crossval(tol: float = params.SL_TOL,
     return out
 
 
-def gram_comparison(lam: float, max_index: int, tol: float):
+def gram_comparison(lam: float, max_index: int):
     """The normalized Gram matrix of the bound functions up to
-    ``max_index``, its overlaps integrated at rtol min(tol/100, 1e-10),
-    and its largest |entry| off the diagonal (the diagonal is exactly
-    one), the metric that ``tol`` bounds: (matrix, largest off-diagonal)."""
+    ``max_index`` and its largest |entry| off the diagonal (the diagonal
+    is exactly one), the metric ``check_gram`` bounds: (matrix, largest
+    off-diagonal)."""
     import numpy as np
 
-    g = gram_matrix(lam, max_index=max_index, rtol=min(tol * 1e-2, 1e-10))
+    g = gram_matrix(lam, max_index=max_index)
     return g, float(np.max(np.abs(g - np.eye(g.shape[0]))))
 
 
@@ -293,7 +293,7 @@ def check_gram(tol: float = params.GRAM_TOL,
     """Normalized orthogonality of all bound pairs up to GRAM_MAX_INDEX."""
     out = []
     for lam in lams:
-        g, dev = gram_comparison(lam, params.GRAM_MAX_INDEX, tol)
+        g, dev = gram_comparison(lam, params.GRAM_MAX_INDEX)
         out.append(
             _record("gram_offdiagonal", {"lambda": lam, "size": g.shape[0]},
                     dev, tol)

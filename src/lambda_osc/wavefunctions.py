@@ -4,8 +4,11 @@ Unnormalized functions are the primitive.  Normalization constants (the
 convention is unit measure-norm) are closed forms, O(m) float work from
 the three-term recursion and the total mass of the measure; quadrature
 against the measure (``mu_inner``, ``gram_matrix``) is the independent
-oracle that checks them.  The polynomial factor is in the
-generating-function normalization (``hermite.generating_coeffs``).
+oracle that checks them: each overlap is the pair's polynomial factor
+in the compact coordinate t (``WaveFunction.factor``) on the measure's
+own Gauss rule, exact up to rounding (``quadrature``).  The polynomial
+factor is in the generating-function normalization
+(``hermite.generating_coeffs``).
 
 Float values run the paper's three-term recursion from psi_0 = envelope:
 no monomial coefficients to cancel, and no overflow in slowly decaying
@@ -20,6 +23,7 @@ and ``mu_inner`` the quadrature, when they run.
 """
 
 import math
+import sys
 
 from .params import classify
 
@@ -63,10 +67,11 @@ class WaveFunction:
         self.deformation = dp
         self._coeffs = {}  # keyed by normalized
 
-    def _recurse(self, y, normalized):
-        """psi_m from psi_{n+1} = a_n y psi_n - b_n psi_{n-1}, psi_0 = c *
-        envelope: plain, (a_n, b_n) and c = 1; or orthonormal,
-        (1, sqrt(beta_n)) / sqrt(beta_{n+1}) and c = 1/sqrt(M_0)."""
+    def _recurse(self, x, normalized, start=None, damp=1.0):
+        """psi_m from psi_{n+1} = a_n x psi_n - b_n damp psi_{n-1}, psi_0 =
+        c * start (the envelope by default): plain, (a_n, b_n) and c = 1;
+        or orthonormal, (1, sqrt(beta_n)) / sqrt(beta_{n+1}) and
+        c = 1/sqrt(M_0)."""
         import numpy as np
 
         if normalized not in self._coeffs:
@@ -81,10 +86,12 @@ class WaveFunction:
                 c = 1.0
             self._coeffs[normalized] = c, a.tolist(), b.tolist()
         c, a, b = self._coeffs[normalized]
-        y = np.asarray(y, dtype=float)
-        prev, psi = 0.0, envelope(y, self.lam) * c
+        x = np.asarray(x, dtype=float)
+        if start is None:
+            start = envelope(x, self.lam)
+        prev, psi = 0.0, start * c
         for a_n, b_n in zip(a, b):
-            prev, psi = psi, a_n * y * psi - b_n * prev
+            prev, psi = psi, a_n * x * psi - b_n * damp * prev
         return psi
 
     def __call__(self, y):
@@ -94,6 +101,21 @@ class WaveFunction:
     def normalized(self, y):
         """``self(y) * norm_constant(self)``, in float range at any index."""
         return self._recurse(y, True)
+
+    def factor(self, t, normalized=False):
+        """The polynomial factor at ``quadrature``'s t (an ndarray), plain
+        or orthonormal: h_m(t/sqrt(|lam|)) for lam <= 0 (h_m(t) at 0 and
+        subnormal lam); for lam > 0 H_m(t) = h_m(y) (1 - t^2)^(m/2) from
+        H_{n+1} = a_n (t/sqrt(lam)) H_n - b_n (1 - t^2) H_{n-1}, in float
+        range where h_m(y) alone would overflow."""
+        import numpy as np
+
+        lam = float(self.lam)
+        t = np.asarray(t, dtype=float)
+        size = abs(lam) if abs(lam) >= sys.float_info.min else 1.0
+        damp = (1.0 - t) * (1.0 + t) if lam > 0 else 1.0
+        return self._recurse(t / math.sqrt(size), normalized,
+                             np.ones_like(t), damp)
 
 
 def wavefunction(m: int, lam) -> WaveFunction:
@@ -135,23 +157,16 @@ def nodes(w: WaveFunction) -> list[float]:
     return ((x - x[::-1]) / 2).tolist()
 
 
-def mu_inner(w1: WaveFunction, w2: WaveFunction, rtol: float = 1e-10) -> float:
-    """Inner product against the invariant measure (symmetric).
-
-    For positive deformation both indices must be normalizable, which
-    the constructor already enforces; the truncation half-width comes
-    from the combined polynomial degree, the sum of the indices.
-    """
+def mu_inner(w1: WaveFunction, w2: WaveFunction) -> float:
+    """Inner product against the invariant measure (symmetric): the
+    pair's polynomial factor, ``factor``, on the measure's Gauss rule
+    for degree w1.m + w2.m (``quadrature``), exact up to rounding."""
     from . import quadrature
 
     if float(w1.lam) != float(w2.lam):
         raise ValueError("deformation values differ")
-    lam = float(w1.lam)
-    quadrature.check_rtol(rtol)  # before the tail bound takes its log
-    u = quadrature.overlap_halfwidth(
-        lam, w1.m + w2.m, tail_tol=min(rtol, 1e-12) * 1e-2
-    )
-    return quadrature.integrate_measure(lambda y: w1(y) * w2(y), lam, u, rtol)
+    return quadrature.integrate_measure(
+        lambda t: w1.factor(t) * w2.factor(t), float(w1.lam), w1.m + w2.m)
 
 
 def measure_mass(lam) -> float:
@@ -211,12 +226,13 @@ def norm_constant(w: WaveFunction) -> float:
     return math.ldexp(1.0 / math.sqrt(mant), -exp // 2)
 
 
-def gram_matrix(lam, max_index: int, rtol: float = 1e-10):
+def gram_matrix(lam, max_index: int):
     """Normalized overlap matrix of the bound functions up to an index
     (the last bound one, if that is lower).
 
-    Entries are <psi_i, psi_j> / sqrt(<psi_i,psi_i><psi_j,psi_j>); the
-    parity-odd pairs are exact zeros by the symmetric quadrature design.
+    Entries are <psi_i, psi_j> / sqrt(<psi_i,psi_i><psi_j,psi_j>) by
+    ``mu_inner``, one rule per entry; the diagonal is exactly one, and
+    the parity-odd pairs are exact zeros by the rules' symmetric pairs.
     """
     import numpy as np
 
@@ -226,10 +242,10 @@ def gram_matrix(lam, max_index: int, rtol: float = 1e-10):
     ws = [wavefunction(m, lam) for m in range(top + 1)]
     n = top + 1
     out = np.eye(n)
-    norms = [math.sqrt(mu_inner(w, w, rtol=rtol)) for w in ws]
+    norms = [math.sqrt(mu_inner(w, w)) for w in ws]
     for i in range(n):
         for j in range(i + 1, n):
-            raw = mu_inner(ws[i], ws[j], rtol=rtol)
+            raw = mu_inner(ws[i], ws[j])
             out[i, j] = out[j, i] = raw / (norms[i] * norms[j])
     return out
 

@@ -335,8 +335,7 @@ class TestWavefnCommand:
         assert out.split("\n")[0] == "y,psi_0,psi_1,psi_2"
 
     def test_normalized_small_deformation(self, capsys):
-        # the tail of the quadrature oracle diverges here; the closed form
-        # does not need it
+        # the normalization is the closed form, with no quadrature
         code, out = run_cli(capsys, "wavefn", "--normalized", "--lambda",
                             "0.05", "--m", "0", "--points", "3", "--ymax",
                             "0", "--format", "json")
@@ -582,10 +581,9 @@ class TestGramCommand:
     @pytest.mark.parametrize("lam, tol", [("0.1", "1e-9"), ("-0.3", "1e-8"),
                                           ("0.3", "1e-6")])
     def test_offdiagonal_is_the_verify_metric(self, lam, tol, capsys):
-        # --tol means one thing: the bound verify --gram holds the
-        # off-diagonal to, which also sets the quadrature tolerance
-        _, out = run_cli(capsys, "gram", "--lambda", lam, "--tol", tol,
-                         "--format", "json")
+        # gram prints the metric that verify --gram --tol bounds; the
+        # bound does not change the overlaps, which are exact rules
+        _, out = run_cli(capsys, "gram", "--lambda", lam, "--format", "json")
         (rec,) = json.loads(out)
         _, out = run_cli(capsys, "verify", "--gram", "--lambda", lam, "--tol",
                          tol, "--quiet")
@@ -593,16 +591,15 @@ class TestGramCommand:
         assert rec["max_offdiagonal"] == check["metric"]
         assert rec["size"] == check["parameters"]["size"]
 
-    def test_vanishing_norm_is_an_error(self, capsys):
-        # every node of the first two rules misses the ground state at
-        # lam = -1e-6; its 0 norm used to end in a ZeroDivisionError
-        assert main(["gram", "--lambda", "-1e-6"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: integrand is 0 at every node of the 64-node rule and "
-            "the 32-node estimate is 0, so its scale is unknown (last 0.0, "
-            "previous 0.0)\n")
+    def test_tiny_negative_deformation_prints_the_matrix(self, capsys):
+        # the ground state is a Gaussian of width ~1e-3 in the wall angle
+        code, out = run_cli(capsys, "gram", "--lambda", "-1e-6", "--format",
+                            "json")
+        assert code == 0
+        (rec,) = json.loads(out)
+        assert rec["size"] == 9
+        assert rec["max_offdiagonal"] <= 1e-14
+        assert [row[i] for i, row in enumerate(rec["matrix"])] == [1.0] * 9
 
     def test_negative_index_bound_refused(self, capsys):
         assert main(["gram", "--mmax", "-1"]) == 1
@@ -613,11 +610,7 @@ class TestGramCommand:
 
 class TestZeroTolerance:
     # --tol 0 is passed on (not replaced by the default) and refused
-    @pytest.mark.parametrize("argv", [["sl", "--lambda", "0.3", "--tol", "0"],
-                                      ["gram", "--tol", "0"],
-                                      ["gram", "--lambda", "0.3", "--tol", "0"],
-                                      # rtol tol/100 falls below the floor
-                                      ["gram", "--tol", "1e-13"]])
+    @pytest.mark.parametrize("argv", [["sl", "--lambda", "0.3", "--tol", "0"]])
     def test_refused(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -703,9 +696,11 @@ class TestFlagsTheRunDoesNotRead:
 
 
 class TestTolFlag:
-    # only the commands that run a tolerance-controlled oracle take --tol
+    # only the commands that run a tolerance-controlled oracle take --tol;
+    # gram's overlaps are exact rules, so it has none to set
     @pytest.mark.parametrize("command", ["spectrum", "potential", "polys",
-                                         "wavefn", "ladder", "classical"])
+                                         "wavefn", "gram", "ladder",
+                                         "classical"])
     def test_refused_where_unread(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--tol", "1e-6"])

@@ -201,18 +201,16 @@ class TestInnerProducts:
             mu_inner(wavefunction(0, 0.1), wavefunction(0, 0.2))
 
     def test_norm_constant_ignores_earlier_calls(self):
-        # a coarse quadrature call first must not leak into the norm
+        # a quadrature call first must not leak into the norm
         w = wavefunction(6, 0.1)
-        mu_inner(w, w, rtol=1e-2)
+        mu_inner(w, w)
         c1 = norm_constant(w)
         assert c1 == norm_constant(wavefunction(6, 0.1))
         assert c1 > 0
         # normalizing makes the self-inner-product one
         assert c1 * c1 * mu_inner(w, w) == pytest.approx(1.0, rel=1e-9)
 
-    # 1/2.1, 1/4.1, 1/5.3 and 1/8.25 sit near the continuum threshold and
-    # need rules of 4096 to 8192 nodes; at 1/4.1 the outer nodes reach
-    # |y| ~ 1e93, where the polynomial factor alone overflows
+    # 1/2.1, 1/4.1, 1/5.3 and 1/8.25 sit near the continuum threshold
     @pytest.mark.parametrize(
         "lam", [-0.3, -0.1, 0.1, 0.3, 1 / 2.1, 1 / 4.1, 1 / 5.3, 1 / 8.25]
     )
@@ -290,7 +288,6 @@ class TestClosedFormNorms:
 
     @pytest.mark.parametrize("lam", [0.05, 0.01, 1e-3])
     def test_small_positive_deformation(self, lam):
-        # the quadrature oracle's truncated tail diverges here
         n_max = wavefunction(0, lam).deformation.n_max
         start = time.perf_counter()
         cs = [norm_constant(wavefunction(m, lam)) for m in range(n_max + 1)]
@@ -306,17 +303,6 @@ class TestClosedFormNorms:
         start = time.perf_counter()
         assert norm_constant(wavefunction(10**9 - 1, 1e-9)) == 0.0
         assert time.perf_counter() - start < 0.05
-
-
-class _Normalized:
-    """A wave function's normalized values behind the call ``mu_inner``
-    makes."""
-
-    def __init__(self, w):
-        self.m, self.lam, self._w = w.m, w.lam, w
-
-    def __call__(self, y):
-        return self._w.normalized(y)
 
 
 class TestNormalized:
@@ -357,12 +343,18 @@ class TestNormalized:
 
     @pytest.mark.parametrize("lam, m", [(-0.5, 150), (0.3, 3), (0.01, 60)])
     def test_unit_measure_norm_by_quadrature(self, lam, m):
-        # at lam = 0.01 the quadrature oracle's truncated tail fails below
-        # about m = 44 (ROADMAP item 2), so the check runs past it
-        w, v = _Normalized(wavefunction(m, lam)), _Normalized(
-            wavefunction(m - 2, lam))
-        assert mu_inner(w, w) == pytest.approx(1.0, abs=1e-10)
-        assert abs(mu_inner(w, v)) <= 1e-10
+        # the orthonormal factor on the overlap's own rule; the plain one
+        # would not do at (-0.5, 150), whose squared norm is about 1e690
+        from lambda_osc.quadrature import integrate_measure
+
+        def overlap(a, b):
+            return integrate_measure(
+                lambda t: a.factor(t, True) * b.factor(t, True), lam,
+                a.m + b.m)
+
+        w, v = wavefunction(m, lam), wavefunction(m - 2, lam)
+        assert overlap(w, w) == pytest.approx(1.0, abs=1e-12)
+        assert abs(overlap(w, v)) <= 1e-12
 
 
 class TestExactOrthogonality:
