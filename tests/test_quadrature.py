@@ -222,14 +222,25 @@ class TestMeasureIntegration:
         with pytest.raises(ValueError, match="degree 4 is not normalizable"):
             gauss_rule(0.5, 4, 3)
 
+    def test_zero_at_every_node_is_not_accepted(self):
+        # at lam = -1e-6 the ground state is a Gaussian of width ~1e-3 in
+        # the wall angle, which a rule fixed in the angle misses at every
+        # node.  The measure's own rule has its nodes where the weight is:
+        # none of its terms is 0, and the norm is M_0 (about 1.7725), not 0
+        lam = -1e-6
+        w0 = wavefunction(0, lam)
+        x, w = gauss_rule(lam, 0, 1)
+        assert np.all(w * w0.factor(x) ** 2 > 0)
+        assert mu_inner(w0, w0) == pytest.approx(measure_mass(lam),
+                                                 rel=1e-14)
+
     def test_subnormal_estimates_are_not_accepted(self):
-        # the ground state is a Gaussian of width ~1e-3 in the wall angle
-        # here; the rule's nodes scale with sqrt(|lam|), so it is resolved
-        # and the norm is M_0
-        for lam in (-2e-6, -1e-6):
-            w0 = wavefunction(0, lam)
-            assert mu_inner(w0, w0) == pytest.approx(measure_mass(lam),
-                                                     rel=1e-14)
+        # at lam = -2e-6 the ground state is a Gaussian of width ~1e-3 in
+        # the wall angle; the rule's nodes scale with sqrt(|lam|), so it is
+        # resolved and the norm is M_0, not a 0 or a subnormal estimate
+        lam = -2e-6
+        w0 = wavefunction(0, lam)
+        assert mu_inner(w0, w0) == pytest.approx(measure_mass(lam), rel=1e-14)
 
     def test_scheme_selection(self):
         # the sign of lam picks the weight: below 0 the degree sets only the
