@@ -3,11 +3,9 @@
 The equation of motion (1 + lam*x^2) x'' - lam*x x'^2 + alpha^2 x = 0
 has quasi-harmonic solutions x = A sin(w t + phi) with the amplitude
 restriction w^2 = alpha^2 / (1 + lam*A^2).  The integrator works in the
-arclength coordinate u = integral dx / sqrt(z), z = 1 + lam*x^2, and its
-conjugate momentum q = v / sqrt(z).  The chart is x = S(a)/sqrt|lam|,
-sqrt(z) = K(a) with a = sqrt|lam|*u, and (S, K) = (sinh, cosh) for
-lam > 0, (sin, cos) for lam < 0 (x = u, K = 1 at lam = 0).  In (u, q) the
-Hamiltonian (unit mass) separates,
+flattening coordinate u of ``params.chart``, x = S(a)/w with a = w*u,
+and its conjugate momentum q = v / sqrt(z) = v / K(a), z = 1 + lam*x^2.
+In (u, q) the Hamiltonian (unit mass) separates,
 
     H = (1/2) q^2 + V(x(u)),   V = (1/2) alpha^2 x^2 / z,
     dV/du = alpha^2 x / z^(3/2),
@@ -21,21 +19,19 @@ synchronised one, used for energy, zero crossings and samples.  In the
 canonical pair (x, p = v/z) of H = (1/2) z p^2 + V this is the same
 kick-drift-kick scheme, so the two forms differ only by rounding.
 
-V and its force depend on a only through the tangent chart
-r = S(a)/K(a) = T(a), T = (tanh, tan, identity) for lam (> 0, < 0, = 0):
-V = c*r^2 with c = alpha^2/(2|lam|) (alpha^2/2 at lam = 0), and
-dV/da = 2c*r*(1 - sig*r^2), because sech^2 = 1 - tanh^2 and
-sec^2 = 1 + tan^2 (sig = +1, -1, 0).  So a step makes one call of T and
-no division: the stepper carries a and the momentum prescaled to
-p = sqrt|lam|*h*q (h*q at lam = 0), so the drift is a += p, while the
-energy stays in the units of H.  x has the sign of a, so zero crossings
-are found on a, and S and K are evaluated only for samples.
+V and its force depend on a only through r = T(a): V = c*r^2 with
+c = alpha^2/(2 w^2), and dV/da = 2c*r*(1 - sig*r^2), because
+1 - sig*T^2 = 1/K^2.  So a step makes one call of T and no division:
+the stepper carries a and the momentum prescaled to p = w*h*q, so the
+drift is a += p, while the energy stays in the units of H.  x has the
+sign of a, so zero crossings are found on a, and S and K are evaluated
+only for samples.
 """
 
 import math
 from collections import namedtuple
 
-from .params import CLASSICAL_PERIODS, CLASSICAL_STEPS_PER_PERIOD
+from .params import CLASSICAL_PERIODS, CLASSICAL_STEPS_PER_PERIOD, chart
 
 # steps between the escape checks of a run that takes no samples
 ESCAPE_CHECK_STEPS = 1 << 12
@@ -119,20 +115,10 @@ def _leapfrog(x: float, v: float, t0: float, alpha: float, lam: float,
     """
     e0 = energy(ClassicalState(x, v), alpha, lam)
     a2 = alpha * alpha
-    wall = math.inf
-    if lam > 0:
-        w = math.sqrt(lam)
-        T, S, K, sig = math.tanh, math.sinh, math.cosh, 1.0
-        a = math.asinh(w * x)
-    elif lam < 0:
-        w = math.sqrt(-lam)
-        T, S, K, sig = math.tan, math.sin, math.cos, -1.0
-        a = math.asin(w * x)
-        wall = 0.5 * math.pi
-    else:
-        w = 1.0
-        T, S, K, sig = float, float, lambda _: 1.0, 0.0
-        a = x
+    ch = chart(lam)
+    w, sig, wall = ch.w, ch.sig, ch.wall
+    T, S, K, S_inv = ch.funcs(math)
+    a = S_inv(w * x)
     # p = w*h*q; E = kp*p^2 + c*r^2, half-kick p -= r*(g - g*sig*r^2)
     wh = w * h
     lo = -wall

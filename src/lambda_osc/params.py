@@ -1,17 +1,20 @@
 """Physical and adimensional parameter sets for the nonlinear oscillator.
 
 Values are immutable and all operations are pure.  Like every value
-class of the package, the two here are named tuples: equal to, and
+class of the package, the three here are named tuples: equal to, and
 hashing like, the plain tuple of their fields.  The deformation
 parameter is accepted either as an exact rational (symbolic pathways)
 or a float (numeric pathways); conversions between the two are always
-explicit, never implicit.  The acceptance sets (the spectra's and the
+explicit, never implicit.  ``chart`` owns the flattening chart that the
+numeric oracles read.  The acceptance sets (the spectra's and the
 potential table's deformations, the SL, Gram and classical oracles'
 parameters, and the ``verify`` groups) are written here once, for the
 checks and for the command line, which reads them without the checks.
 """
 
 import math
+import operator
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -122,3 +125,41 @@ def classify(lam) -> DeformationParam:
         n_max = math.ceil(cutoff) - 1
         return DeformationParam(lam=lam, cutoff=cutoff, n_max=n_max)
     return DeformationParam(lam=lam, half_width=1.0 / math.sqrt(-lam))
+
+
+class Chart(namedtuple("Chart", "size w sig wall plateau names")):
+    """The flattening chart of a deformation, picked by its sign once, here.
+
+    The flattening coordinate u, du = dy/sqrt(1 + lam*y^2), and the angle
+    a = w*u, w = sqrt(size), size = |lam|, give y = S(a)/w,
+    sqrt(1 + lam*y^2) = K(a) and T = S/K, with (T, S, K, S^-1) named in
+    ``names``: (tanh, sinh, cosh, asinh) and sig = +1 for lam > 0, (tan,
+    sin, cos, asin) and sig = -1 for lam < 0, so 1 - sig*T^2 = 1/K^2.  In
+    u the kinetic operator is -(1/2) d^2/du^2 on a flat measure, and the
+    potential (1 + lam) T(a)^2/(2 size) is, for lam > 0, the Poschl-Teller
+    well (Z. Phys. 83 (1933) 143) of ``plateau`` (1 + lam)/(2 lam), and for
+    lam < 0 diverges at the ``wall`` a = pi/2; each is inf where there is
+    none.  At |lam| < ``sys.float_info.min``, where lam*y^2 keeps no
+    digits, it is the identity chart: size = w = 1, sig = 0, a = u = y,
+    K = 1, names None, and the harmonic potential u^2/2.
+    """
+
+    __slots__ = ()
+
+    def funcs(self, lib):
+        """(T, S, K, S^-1) by name from ``lib``: math or numpy."""
+        if self.names is None:
+            return operator.pos, operator.pos, lambda _: 1.0, operator.pos
+        return tuple(getattr(lib, name) for name in self.names)
+
+
+def chart(lam: float) -> Chart:
+    """The ``Chart`` of a float deformation."""
+    if abs(lam) < sys.float_info.min:
+        return Chart(1.0, 1.0, 0.0, math.inf, math.inf, None)
+    if lam > 0:
+        return Chart(lam, math.sqrt(lam), 1.0, math.inf,
+                     0.5 * (1.0 + lam) / lam,
+                     ("tanh", "sinh", "cosh", "asinh"))
+    return Chart(-lam, math.sqrt(-lam), -1.0, 0.5 * math.pi, math.inf,
+                 ("tan", "sin", "cos", "asin"))

@@ -9,8 +9,8 @@ polynomial in t against (1 - t^2)^a on (-1, 1):
   y = t/sqrt(lam (1 - t^2)); the factor is H_m H_n, H_n = h_n(y)
   (1 - t^2)^(n/2), and a = 1/lam - 1 - (m + n)/2 > -1 exactly for a
   bound pair (the finite orthogonality of the Romanovski polynomials);
-* lam = 0 (and subnormal lam, as for the envelope): t = y against
-  exp(-t^2), with no |lam|^(-1/2).
+* on the identity chart of ``params.chart`` (lam = 0 and subnormal
+  lam): t = y against exp(-t^2), with no |lam|^(-1/2).
 
 So the weight's Gauss rule with (m + n)//2 + 1 nodes is exact: nothing
 is truncated and nothing has to converge.  The rule comes from the
@@ -23,11 +23,11 @@ forms, so a wrong recursion or norm still shows.  Nodes are summed in
 """
 
 import math
-import sys
 
 import numpy as np
 
 from ._lapack import all_eigenvalues
+from .params import chart
 
 # from this b on, Gamma(b)/Gamma(b + 1/2) comes from its asymptotic series
 # rather than math.gamma; six terms leave a truncation error below 1e-17
@@ -51,9 +51,10 @@ def _jacobi(lam: float, degree: int, n: int):
     """(mu_0, beta_1..beta_{n-1}): the mass and the monic Jacobi matrix's
     squared off-diagonal of the weight in t that a polynomial factor of
     this degree carries (the degree matters only for lam > 0)."""
-    if abs(lam) < sys.float_info.min:
+    ch = chart(lam)
+    if not ch.sig:
         return math.sqrt(math.pi), np.arange(1, n) / 2
-    a = 1 / -lam - 0.5 if lam < 0 else 1 / lam - 1 - degree / 2
+    a = 1 / ch.size - 0.5 if ch.sig < 0 else 1 / ch.size - 1 - degree / 2
     if not a > -1:
         raise ValueError(f"degree {degree} is not normalizable at "
                          f"deformation {lam}")
@@ -62,7 +63,7 @@ def _jacobi(lam: float, degree: int, n: int):
     k = np.arange(2.0, n)
     c = 2 * (k + a)
     beta = np.append(1 / (2 * a + 3), k / (c + 1) * ((k + 2 * a) / (c - 1)))
-    return _mass(abs(lam), a + 1), beta[:n - 1]
+    return _mass(ch.size, a + 1), beta[:n - 1]
 
 
 def _orthonormal(x, root):

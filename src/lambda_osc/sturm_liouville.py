@@ -1,18 +1,12 @@
 """Independent finite-difference eigensolver for the deformed oscillator.
 
-Works in the flattening coordinate u with du = dy / sqrt(1 + lam*y^2),
-where the deformed kinetic operator is exactly -(1/2) d^2/du^2 (the
-momentum operator is sqrt(1 + lam*y^2) d/dy, which is d/du) and the
-measure is flat.  The effective potential is
-
-    lam > 0:  (1/2) (1 + lam) tanh(u*sqrt(lam))^2 / lam
-    lam < 0:  (1/2) (1 - |lam|) tan(u*sqrt(|lam|))^2 / |lam|
-    lam = 0:  u^2 / 2
-
-For negative deformation the walls sit at u = +-pi/(2 sqrt(|lam|)) and
-the potential diverges there; the grid is cell-centered so no infinite
-diagonal entries arise.  This module shares no code with the closed-form
-spectrum: it is the cross-validation oracle.
+Works in the flattening coordinate u of ``params.chart``, where the
+deformed kinetic operator is exactly -(1/2) d^2/du^2 (the momentum
+operator is sqrt(1 + lam*y^2) d/dy, which is d/du), the measure is flat
+and the effective potential is the chart's.  The grid is cell-centered,
+so the walls of a negative deformation put no infinite entry on the
+diagonal.  This module shares no code with the closed-form spectrum: it
+is the cross-validation oracle.
 """
 
 import math
@@ -21,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 
 from ._lapack import lowest_eigenvalues
-from .params import classify
+from .params import chart, classify
 
 # first grid of refine() and convergence_order(); refine() doubles it up
 # to GRID_CAP and then raises RefinementError
@@ -38,29 +32,10 @@ class RefinementError(RuntimeError):
 
 
 def potential_u(u, lam: float):
-    """Effective potential in the flattening coordinate."""
-    u = np.asarray(u, dtype=float)
-    if lam > 0:
-        r = math.sqrt(lam)
-        return 0.5 * (1.0 + lam) * np.tanh(r * u) ** 2 / lam
-    if lam < 0:
-        r = math.sqrt(-lam)
-        return 0.5 * (1.0 + lam) * np.tan(r * u) ** 2 / (-lam)
-    return 0.5 * u * u
-
-
-def continuum_threshold(lam: float) -> float:
-    """Potential plateau (1 + lam)/(2 lam); bound levels lie below it."""
-    if not lam > 0:
-        raise ValueError("threshold exists only for positive deformation")
-    return 0.5 * (1.0 + lam) / lam
-
-
-def wall_position(lam: float) -> float:
-    """Flattening-coordinate wall pi/(2 sqrt(|lam|)) for negative deformation."""
-    if not lam < 0:
-        raise ValueError("walls exist only for negative deformation")
-    return 0.5 * math.pi / math.sqrt(-lam)
+    """Effective potential (1 + lam) T(w u)^2 / (2 size) of the chart."""
+    ch = chart(lam)
+    r = ch.funcs(np)[0](ch.w * np.asarray(u, dtype=float))
+    return 0.5 * (1.0 + lam) * r ** 2 / ch.size
 
 
 class SLDiscretization(namedtuple("SLDiscretization",
@@ -76,13 +51,17 @@ def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretiz
     The grid is cell-centered: u_i = -U + (i - 1/2) h with h = 2U/n, so
     the endpoints are excluded.  Dirichlet walls are imposed through
     antisymmetric ghost values, which adds 1/(2 h^2) to the first and
-    last diagonal entries and keeps the matrix symmetric.
+    last diagonal entries and keeps the matrix symmetric.  U is the
+    chart's wall if the chart has one and ``half_width`` is None or lies
+    beyond it; a chart without a wall needs a finite positive half_width.
     """
     if n < 64:
         raise ValueError(f"grid size {n} too small (need at least 64)")
-    if lam < 0:
-        half_width = wall_position(lam)
-    elif half_width is None or not half_width > 0:
+    ch = chart(lam)
+    wall = ch.wall / ch.w
+    if half_width is None or half_width > wall:
+        half_width = wall
+    if not 0 < half_width < math.inf:
         raise ValueError("a positive truncation half-width is required")
     h = 2.0 * half_width / n
     u = -half_width + (np.arange(1, n + 1) - 0.5) * h
@@ -91,14 +70,7 @@ def assemble(lam: float, n: int, half_width: float | None = None) -> SLDiscretiz
     diag[0] += inv2
     diag[-1] += inv2
     offdiag = np.full(n - 1, -inv2)
-    return SLDiscretization(
-        lam=lam,
-        n=n,
-        half_width=half_width,
-        u=u,
-        diag=diag,
-        offdiag=offdiag,
-    )
+    return SLDiscretization(lam, n, half_width, u, diag, offdiag)
 
 
 def eigenvalues(disc: SLDiscretization, k: int) -> np.ndarray:
@@ -115,26 +87,27 @@ def eigenvalues(disc: SLDiscretization, k: int) -> np.ndarray:
 def default_halfwidth(lam: float, k: int, tail_tol: float = 1e-12) -> float:
     """Truncation half-width from the analytic decay of the k-th state.
 
-    For positive deformation a bound level e below the plateau decays
-    like exp(-kappa*u) with kappa = sqrt(2(plateau - e)); the half-width
-    puts the induced eigenvalue shift (~ the squared amplitude at the
-    wall) below ``tail_tol``.  For zero deformation the Gaussian decay
-    beyond the classical turning point is used.
+    For positive deformation a bound level e below the chart's plateau
+    decays like exp(-kappa*u) with kappa = sqrt(2(plateau - e)); the
+    half-width puts the induced eigenvalue shift (~ the squared amplitude
+    at the wall) below ``tail_tol``.  On the identity chart the Gaussian
+    decay beyond the classical turning point is used.  For negative
+    deformation it is the chart's wall.
     """
-    if lam < 0:
-        return wall_position(lam)
-    if lam == 0:
+    ch = chart(lam)
+    if ch.sig < 0:
+        return ch.wall / ch.w
+    if ch.sig == 0:
         e_top = k - 0.5
         return math.sqrt(2.0 * e_top) + math.sqrt(-math.log(tail_tol)) + 4.0
-    vmax = continuum_threshold(lam)
     m_top = classify(lam).top_index(k - 1)
     e_top = (m_top + 0.5) - 0.5 * m_top * m_top * lam
-    gap = vmax - e_top
+    gap = ch.plateau - e_top
     if gap <= 0:
         raise ValueError(f"level {m_top} is not below the continuum threshold")
     kappa = math.sqrt(2.0 * gap)
     arg = min(2.0 * e_top * lam / (1.0 + lam), 1.0 - 1e-15)
-    u_turn = math.atanh(math.sqrt(arg)) / math.sqrt(lam) if e_top > 0 else 0.0
+    u_turn = math.atanh(math.sqrt(arg)) / ch.w if e_top > 0 else 0.0
     return u_turn + max(8.0, -math.log(tail_tol) / (2.0 * kappa)) + 2.0
 
 
@@ -168,7 +141,7 @@ def refine(
         raise ValueError(
             f"k = {k}: only {bound} levels are bound at deformation {lam}"
         )
-    if half_width is None and lam >= 0:
+    if half_width is None:
         half_width = default_halfwidth(lam, k, tail_tol=min(1e-12, tol * 1e-3))
     levels: list[RefinementLevel] = []
     table: list[list[np.ndarray]] = []  # triangular Richardson tableau
@@ -207,7 +180,7 @@ def refine(
 
 def convergence_order(lam: float, m: int) -> float:
     """Observed order from three raw grids (expected close to 2)."""
-    half_width = default_halfwidth(lam, m + 1) if lam >= 0 else None
+    half_width = default_halfwidth(lam, m + 1)
     e = [
         eigenvalues(assemble(lam, n, half_width), m + 1)[m]
         for n in (GRID_START, 2 * GRID_START, 4 * GRID_START)

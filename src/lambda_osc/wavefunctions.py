@@ -23,9 +23,8 @@ and ``mu_inner`` the quadrature, when they run.
 """
 
 import math
-import sys
 
-from .params import classify
+from .params import chart, classify
 
 # from this b on, Gamma(b + 1/2)/Gamma(b) comes from its asymptotic series
 # rather than math.gamma; six terms leave a truncation error below 1e-17
@@ -104,18 +103,17 @@ class WaveFunction:
 
     def factor(self, t, normalized=False):
         """The polynomial factor at ``quadrature``'s t (an ndarray), plain
-        or orthonormal: h_m(t/sqrt(|lam|)) for lam <= 0 (h_m(t) at 0 and
-        subnormal lam); for lam > 0 H_m(t) = h_m(y) (1 - t^2)^(m/2) from
-        H_{n+1} = a_n (t/sqrt(lam)) H_n - b_n (1 - t^2) H_{n-1}, in float
-        range where h_m(y) alone would overflow."""
+        or orthonormal, on the chart of ``params.chart``: h_m(t/w) for
+        lam <= 0 (h_m(t) on the identity chart); for lam > 0
+        H_m(t) = h_m(y) (1 - t^2)^(m/2) from
+        H_{n+1} = a_n (t/w) H_n - b_n (1 - t^2) H_{n-1}, in float range
+        where h_m(y) alone would overflow."""
         import numpy as np
 
-        lam = float(self.lam)
+        ch = chart(float(self.lam))
         t = np.asarray(t, dtype=float)
-        size = abs(lam) if abs(lam) >= sys.float_info.min else 1.0
-        damp = (1.0 - t) * (1.0 + t) if lam > 0 else 1.0
-        return self._recurse(t / math.sqrt(size), normalized,
-                             np.ones_like(t), damp)
+        damp = (1.0 - t) * (1.0 + t) if ch.sig > 0 else 1.0
+        return self._recurse(t / ch.w, normalized, np.ones_like(t), damp)
 
 
 def wavefunction(m: int, lam) -> WaveFunction:

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from lambda_osc.params import chart
 from lambda_osc.spectrum import energy
 from lambda_osc.sturm_liouville import (
     GRID_CAP,
     RefinementError,
     assemble,
-    continuum_threshold,
     convergence_order,
     default_halfwidth,
     eigenvalues,
     potential_u,
     refine,
-    wall_position,
 )
 
 
@@ -26,11 +25,12 @@ class TestAssembly:
         assert np.all(np.isfinite(d.diag))
 
     def test_wall_position(self):
-        assert wall_position(-0.3) == pytest.approx(0.5 * math.pi / math.sqrt(0.3))
+        ch = chart(-0.3)
+        assert ch.wall / ch.w == pytest.approx(0.5 * math.pi / math.sqrt(0.3))
 
     def test_continuum_threshold(self):
         # all four bound levels at 0.3 sit below (1 + 0.3)/(2*0.3)
-        v_inf = continuum_threshold(0.3)
+        v_inf = chart(0.3).plateau
         assert v_inf == pytest.approx(13.0 / 6.0)
         for m in range(4):
             assert float(energy(0.3, m)) < v_inf
@@ -76,7 +76,7 @@ class TestEigenvalues:
         vals, _ = refine(0.15, 7, tol=1e-6)
         exact = [float(energy(0.15, m)) for m in range(7)]
         assert vals == pytest.approx(exact, abs=1e-6)
-        v_inf = continuum_threshold(0.15)
+        v_inf = chart(0.15).plateau
         assert all(v < v_inf for v in vals)
 
     @pytest.mark.parametrize("lam,n_bound", [(0.3, 4), (0.15, 7)])
@@ -85,7 +85,7 @@ class TestEigenvalues:
         # just above the potential plateau
         d = assemble(lam, 8192, default_halfwidth(lam, n_bound))
         vals = eigenvalues(d, n_bound + 3)
-        v_inf = continuum_threshold(lam)
+        v_inf = chart(lam).plateau
         assert sum(1 for v in vals if v < v_inf) == n_bound
 
     def test_too_many_levels_rejected(self):
