@@ -223,7 +223,10 @@ def measure_period(alpha: float, lam: float, amplitude: float,
     that OrbitParams refuses, DomainExitError if a step leaves the domain
     (lam < 0), and RuntimeError if fewer than two upward crossings are
     seen, as when n_periods is too small or a step too coarse to hold
-    the orbit lets it escape (lam > 0).
+    the orbit lets it escape (lam > 0), or if the energy drift is not
+    finite, as when the energy's momentum scale 1/(w h)^2 overflows
+    float range (normal |lam| up to about 1e-303 at 10^4 steps per
+    period).
     """
     if steps_per_period < 1:
         raise ValueError("steps_per_period must be positive")
@@ -235,6 +238,10 @@ def measure_period(alpha: float, lam: float, amplitude: float,
         raise RuntimeError(
             "no full period observed: integrate longer, or take more steps "
             "per period if the orbit escapes")
+    if not math.isfinite(drift):
+        raise RuntimeError(
+            f"energy drift is not finite at deformation {lam}: the momentum "
+            "scale 1/(sqrt(|lam|) h)^2 of the energy overflows float range")
     e0 = energy(ClassicalState(amplitude, 0.0), alpha, lam)
     return PeriodProbe(
         period=(last_cross - first_cross) / crossings,

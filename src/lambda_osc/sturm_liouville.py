@@ -90,16 +90,24 @@ def default_halfwidth(lam: float, k: int, tail_tol: float = 1e-12) -> float:
     For positive deformation a bound level e below the chart's plateau
     decays like exp(-kappa*u) with kappa = sqrt(2(plateau - e)); the
     half-width puts the induced eigenvalue shift (~ the squared amplitude
-    at the wall) below ``tail_tol``.  On the identity chart the Gaussian
+    at the cut) below ``tail_tol``.  On the identity chart the Gaussian
     decay beyond the classical turning point is used.  For negative
-    deformation it is the chart's wall.
+    deformation it is the chart's wall, or U0, that Gaussian half-width,
+    where U0 lies inside the wall (so |lam| < 0.1, and 0.024 at the
+    default tail_tol): a far wall lets the first cells' tan^2 entries
+    swamp the eigensolver in rounding.  The cut bounds the tail: with
+    m = k - 1 and X = u^2, tan^2 x >= x^2 + 2x^4/3 and the level
+    E_m = m + 1/2 + m^2 |lam|/2 give V(u) - E_m >= X/2 - (m + 1/2) where
+    (1 - |lam|) X^2/3 >= X/2 + m^2/2, which at |lam| < 0.1 holds beyond
+    the harmonic turning point X = 2m + 1 for m >= 1 and beyond X = 1.7
+    for m = 0; so each state decays at least as fast as the harmonic
+    one, whose tail at U0 is below ``tail_tol``.
     """
     ch = chart(lam)
-    if ch.sig < 0:
-        return ch.wall / ch.w
-    if ch.sig == 0:
+    if ch.sig <= 0:
         e_top = k - 0.5
-        return math.sqrt(2.0 * e_top) + math.sqrt(-math.log(tail_tol)) + 4.0
+        u0 = math.sqrt(2.0 * e_top) + math.sqrt(-math.log(tail_tol)) + 4.0
+        return min(u0, ch.wall / ch.w)
     m_top = classify(lam).top_index(k - 1)
     e_top = (m_top + 0.5) - 0.5 * m_top * m_top * lam
     gap = ch.plateau - e_top

@@ -23,6 +23,7 @@ and ``mu_inner`` the quadrature, when they run.
 """
 
 import math
+import sys
 
 from .params import chart, classify
 
@@ -170,14 +171,15 @@ def mu_inner(w1: WaveFunction, w2: WaveFunction) -> float:
 def measure_mass(lam) -> float:
     """M_0, the integral of (1 + lam y^2)^(-1/lam - 1/2) over the domain.
 
-    sqrt(pi) at lam = 0; otherwise |lam|^(-1/2) B(1/2, b) =
+    sqrt(pi), the Gaussian limit, at |lam| < ``sys.float_info.min``, where
+    b below would overflow; otherwise |lam|^(-1/2) B(1/2, b) =
     sqrt(pi/|lam|) Gamma(b)/Gamma(b + 1/2) with b = 1/lam for lam > 0 and
     b = 1/|lam| + 1/2 for lam < 0 (DLMF §5.12).  For large b the ratio
     comes from its asymptotic series, not from a difference of lgamma
     values, which would cancel about log10(b log b) digits.
     """
     lam = float(lam)
-    if lam == 0:
+    if abs(lam) < sys.float_info.min:
         return math.sqrt(math.pi)
     size = abs(lam)
     b = 1.0 / size if lam > 0 else 1.0 / size + 0.5

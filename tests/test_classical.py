@@ -205,6 +205,27 @@ class TestPeriodMeasurement:
         with pytest.raises(RuntimeError, match="take more steps per period"):
             integrate(ClassicalState(2000.0, 0.0), 1.0, 0.5, 10_182 * h, h)
 
+    @pytest.mark.parametrize("lam", [1e-320, -1e-320])
+    def test_subnormal_deformation_is_the_harmonic_probe(self, lam):
+        # the identity chart: w = sqrt(1e-320) would make 1/(w h)^2 divide
+        # by zero
+        assert measure_period(1.0, lam, 1.0) == measure_period(1.0, 0.0, 1.0)
+
+    def test_infinite_drift_is_a_runtime_error(self, capsys):
+        # at lam = 1e-305 the energy's 1/(w h)^2 overflows to inf, and the
+        # probe used to print an infinite max_rel_energy_drift
+        assert main(["classical", "--probe", "--lambda", "1e-305",
+                     "--amplitude", "1", "--periods", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: energy drift is not finite at deformation 1e-305: the "
+            "momentum scale 1/(sqrt(|lam|) h)^2 of the energy overflows "
+            "float range\n")
+        # 1e-302 is past the overflow
+        probe = measure_period(1.0, 1e-302, 1.0, n_periods=5)
+        assert math.isfinite(probe.max_rel_energy_drift)
+
     def test_wall_exit_error_pickles_from_its_time(self):
         # a worker process sends the error back pickled
         err = pickle.loads(pickle.dumps(DomainExitError(1.5)))
@@ -314,6 +335,13 @@ class TestSharedStepper:
             exact = orbit.amplitude * math.sin(orbit.omega * t + orbit.phase)
             assert abs(x - exact) <= 1e-4 * orbit.amplitude
             assert abs(e - e0) <= 1e-6 * e0
+
+    def test_subnormal_cli_trajectory_is_the_harmonic_one(self, capsys):
+        # -1e-320 used to end in a ZeroDivisionError traceback
+        assert main(["classical", "--lambda", "0"]) == 0
+        harmonic = capsys.readouterr()
+        assert main(["classical", "--lambda", "-1e-320"]) == 0
+        assert capsys.readouterr() == harmonic
 
 
 class TestPooledProbes:

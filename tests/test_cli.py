@@ -542,6 +542,16 @@ class TestLadderCommand:
 
 
 class TestSlCommand:
+    def test_negative_subnormal_is_the_harmonic_table(self, capsys):
+        # it used to end in "error: array must not contain infs or NaNs"
+        recs = []
+        for lam in ("-1e-320", "0"):
+            code, out = run_cli(capsys, "sl", "--lambda", lam, "--k", "3",
+                                "--format", "json")
+            assert code == 0
+            recs.append(json.loads(out)[0]["eigenvalues"])
+        assert recs[0] == recs[1]
+
     def test_convergence_table(self, capsys):
         code, out = run_cli(capsys, "sl", "--lambda", "0.3", "--format", "json")
         assert code == 0

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lambda_osc.params import PhysicalParams, classify
+from lambda_osc.params import PhysicalParams, chart, classify
 
 
 class TestClassify:
@@ -131,3 +133,32 @@ class TestAdimensionalMap:
                            lam=Fraction(-5, 11))
         x_sq = Fraction(9, 4)
         assert 1 + p.lam * x_sq == 1 + p.lam_adim * p.beta * x_sq
+
+
+class TestChart:
+    @pytest.mark.parametrize("lam, w, sig, wall, plateau, names", [
+        (-0.5, math.sqrt(0.5), -1, math.pi / 2, math.inf,
+         ("tan", "sin", "cos", "asin")),
+        (-1e-320, 1.0, 0, math.inf, math.inf, None),
+        (0.0, 1.0, 0, math.inf, math.inf, None),
+        (1e-320, 1.0, 0, math.inf, math.inf, None),
+        (0.3, math.sqrt(0.3), 1, math.inf, 13 / 6,
+         ("tanh", "sinh", "cosh", "asinh")),
+    ])
+    def test_one_chart_per_sign(self, lam, w, sig, wall, plateau, names):
+        # below the smallest normal float the identity chart, as the
+        # quadrature rule and the envelope take it
+        ch = chart(lam)
+        assert (ch.w, ch.sig, ch.wall) == (w, sig, wall)
+        assert ch.plateau == pytest.approx(plateau, rel=1e-15)
+        assert ch.size == (abs(lam) if names else 1.0)
+        assert ch.names == names
+        if names:
+            assert ch.funcs(math) == tuple(getattr(math, n) for n in names)
+            assert ch.funcs(np) == tuple(getattr(np, n) for n in names)
+        else:
+            u = np.array([-1.5, 0.25])
+            T, S, K, S_inv = ch.funcs(np)
+            assert [T(u).tolist(), S(u).tolist(), S_inv(u).tolist()] == [
+                u.tolist()] * 3
+            assert K(u) == K(0.25) == 1.0

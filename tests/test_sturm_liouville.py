@@ -37,6 +37,21 @@ class TestAssembly:
         u = np.array([50.0])
         assert potential_u(u, 0.3)[0] == pytest.approx(v_inf, rel=1e-8)
 
+    def test_potential_is_the_written_out_formula(self):
+        # the SL records stay byte-identical only if the chart's potential
+        # rounds as the formulas written out per sign did
+        lam = 0.3
+        u = assemble(lam, 512, 20.0).u
+        r = math.sqrt(lam)
+        assert np.array_equal(potential_u(u, lam),
+                              0.5 * (1.0 + lam) * np.tanh(r * u) ** 2 / lam)
+        lam = -0.3
+        u = assemble(lam, 512).u
+        assert np.array_equal(
+            potential_u(u, lam),
+            0.5 * (1.0 + lam) * np.tan(r * u) ** 2 / (-lam))
+        assert np.array_equal(potential_u(u, 0.0), 0.5 * u * u)
+
     def test_harmonic_potential(self):
         assert potential_u(np.array([1.5]), 0.0)[0] == pytest.approx(1.125)
 
@@ -115,6 +130,32 @@ class TestRefinement:
         assert np.max(np.abs(vals - exact)) <= 1e-6
         assert levels[-1].error_estimate < 1e-6
         assert levels[0].error_estimate is None
+
+    @pytest.mark.parametrize("lam, k", [(-1e-8, 1), (-3e-308, 2),
+                                        (-0.001, 8)])
+    def test_far_wall_is_cut_at_the_harmonic_half_width(self, lam, k):
+        # a wall at pi/(2 sqrt|lam|) left the first cells' tan^2 entries to
+        # swamp the eigensolver (a last estimate of 0.547 at -1e-8, infs or
+        # NaNs at -3e-308, RefinementError at -0.001); the Dirichlet cut at
+        # the lam = 0 half-width converges in a few grids
+        cut = default_halfwidth(0.0, k, tail_tol=1e-12)
+        assert default_halfwidth(lam, k) == cut
+        assert cut < 0.5 * math.pi / math.sqrt(-lam)
+        vals, levels = refine(lam, k)
+        exact = np.array([float(energy(lam, m)) for m in range(k)])
+        assert np.max(np.abs(vals - exact)) <= 1e-11
+        assert len(levels) <= 4
+
+    @pytest.mark.parametrize("lam", [-0.3, -0.1])
+    def test_near_wall_is_kept(self, lam):
+        # the records' deformations: the harmonic half-width lies beyond
+        # the wall, so the grid still runs to it
+        assert default_halfwidth(lam, 7) == 0.5 * math.pi / math.sqrt(-lam)
+
+    def test_negative_subnormal_is_the_harmonic_oscillator(self):
+        a, _ = refine(-1e-320, 3)
+        b, _ = refine(0.0, 3)
+        assert np.array_equal(a, b)
 
     def test_tolerance_guard(self):
         with pytest.raises(ValueError):

@@ -286,6 +286,16 @@ class TestClosedFormNorms:
         got = norm_constant(wavefunction(m, lam))
         assert abs(got / hermite - 1) <= (1 + m * m) * abs(lam)
 
+    @pytest.mark.parametrize("lam", [-1e-320, -5e-324, 5e-324])
+    def test_subnormal_mass_is_the_gaussian_one(self, lam):
+        # b = 1/|lam| overflows there, and M_0 used to come out as 0.0
+        assert wf.measure_mass(lam) == math.sqrt(math.pi)
+
+    def test_negative_subnormal_norm_is_the_harmonic_one(self):
+        # a zero M_0 used to make this a ZeroDivisionError
+        assert norm_constant(wavefunction(2, -1e-320)) == norm_constant(
+            wavefunction(2, 0.0))
+
     @pytest.mark.parametrize("lam", [0.05, 0.01, 1e-3])
     def test_small_positive_deformation(self, lam):
         n_max = wavefunction(0, lam).deformation.n_max
