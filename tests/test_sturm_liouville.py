@@ -47,6 +47,7 @@ class TestAssembly:
                               0.5 * (1.0 + lam) * np.tanh(r * u) ** 2 / lam)
         lam = -0.3
         u = assemble(lam, 512).u
+        r = math.sqrt(-lam)
         assert np.array_equal(
             potential_u(u, lam),
             0.5 * (1.0 + lam) * np.tan(r * u) ** 2 / (-lam))
